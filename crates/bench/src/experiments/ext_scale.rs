@@ -23,11 +23,12 @@
 //!
 //! Like the hot-path matrix, the curve gates against a checked-in
 //! baseline (`tests/golden/scale_baseline.json`, recorded at smoke
-//! scale) with the CI regression tolerance; `EF_LORA_UPDATE_GOLDEN=1`
-//! rewrites it. Latency rows are normalised by the machine-speed probe
-//! ([`CALIBRATION_ID`]) so shared-runner speed swings don't masquerade
-//! as allocator regressions; the RSS row is deliberately *not*
-//! normalised — memory does not scale with clock speed.
+//! scale) with the CI regression tolerance through the shared
+//! [`crate::perf::gate`]; `EF_LORA_UPDATE_GOLDEN=1` rewrites it. Latency
+//! rows are normalised by the machine-speed probe ([`CALIBRATION_ID`])
+//! so shared-runner speed swings don't masquerade as allocator
+//! regressions; the RSS row is deliberately *not* normalised — memory
+//! does not scale with clock speed.
 
 use std::path::PathBuf;
 
@@ -37,8 +38,8 @@ use lora_sim::{SimConfig, Topology};
 use crate::harness::{Scale, ScaleKind};
 use crate::output::{f2, print_table, write_json};
 use crate::perf::{
-    compare, git_describe, to_json, PerfIssue, PerfReport, WorkloadResult, DEFAULT_TOLERANCE,
-    SCHEMA, UPDATE_ENV,
+    self, calibration_row, gate_against, git_describe, golden_path, PerfReport, WorkloadResult,
+    DEFAULT_TOLERANCE, SCHEMA,
 };
 
 /// Topology seed of every curve point.
@@ -79,57 +80,11 @@ pub fn reps_for(scale: &Scale) -> usize {
 /// Path of the checked-in scaling baseline
 /// (`<repo>/tests/golden/scale_baseline.json`).
 pub fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("tests")
-        .join("golden")
-        .join("scale_baseline.json")
+    golden_path("scale_baseline.json")
 }
 
 /// Identifier of the machine-speed calibration row.
 pub const CALIBRATION_ID: &str = "ext_scale/calibration";
-
-/// Iterations of the calibration kernel.
-const CALIBRATION_ITERS: u64 = 400_000;
-
-/// Raw machine speed from a fixed floating-point kernel independent of
-/// every crate code path (see `ext_serve_soak` for the rationale: the
-/// gate compares work per cycle, not wall-clock on a shared CI box).
-fn machine_probe_ms() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        let mut acc = 1.0f64;
-        for i in 1..CALIBRATION_ITERS {
-            acc = (acc + 1.0 / i as f64).sqrt() * 1.000_000_1;
-        }
-        std::hint::black_box(acc);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// The calibration probe as a workload row, so the baseline records the
-/// machine speed it was measured at.
-fn calibration_row() -> WorkloadResult {
-    let ms = machine_probe_ms();
-    WorkloadResult {
-        id: CALIBRATION_ID.to_string(),
-        devices: 0,
-        gateways: 0,
-        threads: 1,
-        events: CALIBRATION_ITERS,
-        median_ms: ms,
-        p95_ms: ms,
-        events_per_sec: if ms > 0.0 {
-            CALIBRATION_ITERS as f64 / (ms / 1_000.0)
-        } else {
-            0.0
-        },
-        devices_per_sec: 0.0,
-    }
-}
 
 /// The process peak resident set (`VmHWM`) in MiB; 0 off Linux.
 pub fn peak_rss_mib() -> f64 {
@@ -282,7 +237,7 @@ pub fn run_points(points: &[usize], scale: &Scale, reps: usize) -> PerfReport {
             f2(s.rss_mib),
         ]);
     }
-    workloads.push(calibration_row());
+    workloads.push(calibration_row(CALIBRATION_ID));
     let perf = PerfReport {
         schema: SCHEMA.to_string(),
         git_describe: git_describe(),
@@ -316,78 +271,17 @@ pub fn run(scale: &Scale) -> PerfReport {
     run_points(&scale_points(scale), scale, reps_for(scale))
 }
 
-/// Gates `perf` against `baseline` at `tolerance`: latency rows are
-/// normalised by the machine-speed probe ratio first; the `rss_mib` rows
-/// are compared raw (memory does not scale with clock speed), except
-/// that a 0 reading — no `/proc` — is treated as "not measured" and
-/// skipped. Reports recorded at a different scale are not comparable
-/// and pass vacuously. Pure — the binary wires it to [`baseline_path`].
-pub fn gate_against(perf: &PerfReport, baseline: &PerfReport, tolerance: f64) -> Vec<PerfIssue> {
-    if baseline.scale != perf.scale {
-        return Vec::new();
-    }
-    let probe_of = |report: &PerfReport| {
-        report
-            .workloads
-            .iter()
-            .find(|w| w.id == CALIBRATION_ID)
-            .map(|w| w.median_ms)
-            .filter(|&ms| ms > 0.0)
-    };
-    let speed = match (probe_of(perf), probe_of(baseline)) {
-        (Some(cur), Some(base)) => cur / base,
-        _ => 1.0,
-    };
-    let mut scaled = perf.clone();
-    scaled.workloads.retain_mut(|w| {
-        if w.id.contains("/rss_mib/") {
-            // An unmeasured RSS (non-Linux) must not read as "0 MiB used".
-            w.median_ms > 0.0
-        } else {
-            w.median_ms /= speed;
-            w.p95_ms /= speed;
-            true
-        }
-    });
-    let mut baseline = baseline.clone();
-    baseline.workloads.retain(|w| {
-        !w.id.contains("/rss_mib/")
-            || (w.median_ms > 0.0 && scaled.workloads.iter().any(|c| c.id == w.id))
-    });
-    compare(&scaled, &baseline, tolerance)
-}
-
-/// Applies the golden-baseline workflow: `EF_LORA_UPDATE_GOLDEN=1`
-/// rewrites [`baseline_path`]; otherwise, when a baseline recorded at
-/// the same scale exists, regressions beyond [`DEFAULT_TOLERANCE`] are
-/// returned (the binary exits non-zero on any).
-///
-/// # Errors
-///
-/// The list of regressions, when the gate fails.
-pub fn gate(perf: &PerfReport) -> Result<(), Vec<PerfIssue>> {
-    let path = baseline_path();
-    if std::env::var(UPDATE_ENV).is_ok_and(|v| v == "1") {
-        std::fs::write(&path, to_json(perf)).expect("baseline path is writable");
-        println!("ext_scale: baseline updated at {}", path.display());
-        return Ok(());
-    }
-    let Ok(body) = std::fs::read_to_string(&path) else {
-        println!("ext_scale: no baseline at {}; gate skipped", path.display());
-        return Ok(());
-    };
-    let baseline: PerfReport = serde_json::from_str(&body).expect("baseline parses");
-    let issues = gate_against(perf, &baseline, DEFAULT_TOLERANCE);
-    if issues.is_empty() {
-        println!(
-            "ext_scale: within {:.0}% of baseline {}",
-            DEFAULT_TOLERANCE * 100.0,
-            baseline.git_describe
-        );
-        Ok(())
-    } else {
-        Err(issues)
-    }
+/// Gates `perf` against [`baseline_path`] at [`DEFAULT_TOLERANCE`],
+/// normalised by the [`CALIBRATION_ID`] probe (see [`perf::gate`]), and
+/// prints the outcome. Returns whether the gate passed.
+pub fn gate(perf: &PerfReport) -> bool {
+    perf::gate(
+        "ext_scale",
+        perf,
+        &baseline_path(),
+        DEFAULT_TOLERANCE,
+        |current, baseline, tolerance| gate_against(current, baseline, CALIBRATION_ID, tolerance),
+    )
 }
 
 #[cfg(test)]
@@ -471,7 +365,10 @@ mod tests {
                 row(CALIBRATION_ID, 4.0),
             ],
         );
-        assert!(gate_against(&slow_box, &baseline, 0.25).is_empty());
+        assert_eq!(
+            gate_against(&slow_box, &baseline, CALIBRATION_ID, 0.25),
+            Ok(vec![])
+        );
         // … but 2x the memory on the same box is, probe ratio or not.
         let fat = report(
             "smoke",
@@ -481,7 +378,7 @@ mod tests {
                 row(CALIBRATION_ID, 4.0),
             ],
         );
-        let issues = gate_against(&fat, &baseline, 0.25);
+        let issues = gate_against(&fat, &baseline, CALIBRATION_ID, 0.25).expect("same scale");
         assert_eq!(issues.len(), 1);
         assert!(issues[0].to_string().contains("rss_mib"));
     }
@@ -506,9 +403,19 @@ mod tests {
                 row(CALIBRATION_ID, 2.0),
             ],
         );
-        assert!(gate_against(&no_proc, &baseline, 0.25).is_empty());
-        // A small-scale run is not comparable to the smoke baseline.
+        assert_eq!(
+            gate_against(&no_proc, &baseline, CALIBRATION_ID, 0.25),
+            Ok(vec![])
+        );
+        // A small-scale run is not comparable to the smoke baseline: the
+        // gate is skipped, naming both scales.
         let small = report("small", vec![row("ext_scale/alloc/10000dev", 999.0)]);
-        assert!(gate_against(&small, &baseline, 0.25).is_empty());
+        assert_eq!(
+            gate_against(&small, &baseline, CALIBRATION_ID, 0.25),
+            Err(perf::ScaleMismatch {
+                current: "small".into(),
+                baseline: "smoke".into(),
+            })
+        );
     }
 }

@@ -23,11 +23,11 @@
 //!
 //! Like the hot-path matrix, the soak gates against a checked-in
 //! baseline (`tests/golden/serve_perf_baseline.json`, recorded at smoke
-//! scale) with the CI regression tolerance; `EF_LORA_UPDATE_GOLDEN=1`
-//! rewrites it. Every point is the best-of-`REPS_PER_POINT` envelope,
-//! and the gate normalises by a fixed machine-speed probe
-//! ([`CALIBRATION_ID`]) so shared-runner speed swings don't masquerade
-//! as serve-path regressions.
+//! scale) with the CI regression tolerance through the shared
+//! [`crate::perf::gate`]; `EF_LORA_UPDATE_GOLDEN=1` rewrites it. Every
+//! point is the best-of-`REPS_PER_POINT` envelope, and the gate
+//! normalises by a fixed machine-speed probe ([`CALIBRATION_ID`]) so
+//! shared-runner speed swings don't masquerade as serve-path regressions.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -41,8 +41,8 @@ use lora_scenario::catalog;
 use crate::harness::{Scale, ScaleKind};
 use crate::output::{f2, print_table, write_json};
 use crate::perf::{
-    compare, git_describe, to_json, PerfIssue, PerfReport, WorkloadResult, DEFAULT_TOLERANCE,
-    SCHEMA, UPDATE_ENV,
+    self, calibrate, calibration_row, compare, git_describe, golden_path, PerfIssue, PerfReport,
+    ScaleMismatch, WorkloadResult, DEFAULT_TOLERANCE, SCHEMA,
 };
 
 /// Seed of the load-generator event stream.
@@ -63,12 +63,7 @@ pub fn soak_points(scale: &Scale) -> Vec<(f64, usize)> {
 /// Path of the checked-in soak baseline
 /// (`<repo>/tests/golden/serve_perf_baseline.json`).
 pub fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("tests")
-        .join("golden")
-        .join("serve_perf_baseline.json")
+    golden_path("serve_perf_baseline.json")
 }
 
 /// Bursts per point: each rep boots a fresh daemon and replays the same
@@ -80,51 +75,6 @@ const REPS_PER_POINT: usize = 3;
 
 /// Identifier of the machine-speed calibration row.
 pub const CALIBRATION_ID: &str = "serve_churn/calibration";
-
-/// Iterations of the calibration kernel.
-const CALIBRATION_ITERS: u64 = 400_000;
-
-/// Measures raw machine speed with a fixed floating-point kernel that is
-/// deliberately independent of every crate code path: a regression in
-/// the serve stack cannot leak into the probe and cancel itself out of
-/// the gate. Shared CI boxes swing well beyond the 25 % tolerance run to
-/// run; [`gate_against`] divides the measured latencies by the ratio of
-/// this probe to the baseline's, so the gate compares work per cycle
-/// rather than wall-clock.
-fn machine_probe_ms() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS_PER_POINT {
-        let t0 = std::time::Instant::now();
-        let mut acc = 1.0f64;
-        for i in 1..CALIBRATION_ITERS {
-            acc = (acc + 1.0 / i as f64).sqrt() * 1.000_000_1;
-        }
-        std::hint::black_box(acc);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// The calibration probe as a workload row, so the baseline records the
-/// machine speed it was measured at.
-fn calibration_row() -> WorkloadResult {
-    let ms = machine_probe_ms();
-    WorkloadResult {
-        id: CALIBRATION_ID.to_string(),
-        devices: 0,
-        gateways: 0,
-        threads: 1,
-        events: CALIBRATION_ITERS,
-        median_ms: ms,
-        p95_ms: ms,
-        events_per_sec: if ms > 0.0 {
-            CALIBRATION_ITERS as f64 / (ms / 1_000.0)
-        } else {
-            0.0
-        },
-        devices_per_sec: 0.0,
-    }
-}
 
 /// One point of the scaling curve: boots a fresh daemon per rep over the
 /// scaled scenario, runs the burst, returns the two workload rows built
@@ -240,7 +190,7 @@ pub fn run(scale: &Scale) -> PerfReport {
         workloads.extend(rows);
         workloads.extend(journal_rows);
     }
-    workloads.push(calibration_row());
+    workloads.push(calibration_row(CALIBRATION_ID));
     let perf = PerfReport {
         schema: SCHEMA.to_string(),
         git_describe: git_describe(),
@@ -263,35 +213,22 @@ pub fn run(scale: &Scale) -> PerfReport {
     perf
 }
 
-/// Gates `perf` against `baseline`: every baseline row measured at the
-/// same scale must be present and within the tolerance after machine-
-/// speed normalisation. When both reports carry a [`CALIBRATION_ID`]
-/// row, every latency in `perf` is divided by the probe ratio
-/// `perf_probe / baseline_probe` first, so a uniformly slower (or
-/// faster) box cancels out and only genuine serve-path regressions
-/// surface. Pure — the binary wires it to [`baseline_path`].
-pub fn gate_against(perf: &PerfReport, baseline: &PerfReport, tolerance: f64) -> Vec<PerfIssue> {
-    if baseline.scale != perf.scale {
-        return Vec::new();
-    }
-    let probe_of = |report: &PerfReport| {
-        report
-            .workloads
-            .iter()
-            .find(|w| w.id == CALIBRATION_ID)
-            .map(|w| w.median_ms)
-            .filter(|&ms| ms > 0.0)
-    };
-    let speed = match (probe_of(perf), probe_of(baseline)) {
-        (Some(cur), Some(base)) => cur / base,
-        _ => 1.0,
-    };
-    let mut scaled = perf.clone();
-    for w in &mut scaled.workloads {
-        w.median_ms /= speed;
-        w.p95_ms /= speed;
-    }
-    let mut issues = compare(&scaled, baseline, tolerance);
+/// Gates `perf` against `baseline`: every baseline row must be present
+/// and within the tolerance after normalisation by the [`CALIBRATION_ID`]
+/// machine-speed probe ([`perf::calibrate`]), and every journaled row
+/// must stay within the tolerance of its *plain* baseline row. Pure —
+/// [`gate`] wires it to [`baseline_path`].
+///
+/// # Errors
+///
+/// [`ScaleMismatch`] when the reports were recorded at different scales.
+pub fn gate_against(
+    perf: &PerfReport,
+    baseline: &PerfReport,
+    tolerance: f64,
+) -> Result<Vec<PerfIssue>, ScaleMismatch> {
+    let (scaled, baseline) = calibrate(perf, baseline, CALIBRATION_ID)?;
+    let mut issues = compare(&scaled, &baseline, tolerance);
     // Journal-overhead rows (`serve_churn/<tag>/journal[...]`) have no
     // counterpart in pre-journal baselines, and `compare` ignores
     // current-only rows — so gate them explicitly against the *plain*
@@ -312,7 +249,7 @@ pub fn gate_against(perf: &PerfReport, baseline: &PerfReport, tolerance: f64) ->
     };
     if !journal_view.workloads.is_empty() {
         issues.extend(
-            compare(&journal_view, baseline, tolerance)
+            compare(&journal_view, &baseline, tolerance)
                 .into_iter()
                 .filter_map(|issue| match issue {
                     PerfIssue::Slower {
@@ -333,43 +270,20 @@ pub fn gate_against(perf: &PerfReport, baseline: &PerfReport, tolerance: f64) ->
                 }),
         );
     }
-    issues
+    Ok(issues)
 }
 
-/// Applies the golden-baseline workflow: `EF_LORA_UPDATE_GOLDEN=1`
-/// rewrites [`baseline_path`]; otherwise, when a baseline recorded at
-/// the same scale exists, regressions beyond [`DEFAULT_TOLERANCE`] are
-/// returned (the binary exits non-zero on any).
-///
-/// # Errors
-///
-/// The list of regressions, when the gate fails.
-pub fn gate(perf: &PerfReport) -> Result<(), Vec<PerfIssue>> {
-    let path = baseline_path();
-    if std::env::var(UPDATE_ENV).is_ok_and(|v| v == "1") {
-        std::fs::write(&path, to_json(perf)).expect("baseline path is writable");
-        println!("ext_serve_soak: baseline updated at {}", path.display());
-        return Ok(());
-    }
-    let Ok(body) = std::fs::read_to_string(&path) else {
-        println!(
-            "ext_serve_soak: no baseline at {}; gate skipped",
-            path.display()
-        );
-        return Ok(());
-    };
-    let baseline: PerfReport = serde_json::from_str(&body).expect("baseline parses");
-    let issues = gate_against(perf, &baseline, DEFAULT_TOLERANCE);
-    if issues.is_empty() {
-        println!(
-            "ext_serve_soak: within {:.0}% of baseline {}",
-            DEFAULT_TOLERANCE * 100.0,
-            baseline.git_describe
-        );
-        Ok(())
-    } else {
-        Err(issues)
-    }
+/// Gates `perf` against [`baseline_path`] at [`DEFAULT_TOLERANCE`] with
+/// [`gate_against`] (see [`perf::gate`]) and prints the outcome. Returns
+/// whether the gate passed.
+pub fn gate(perf: &PerfReport) -> bool {
+    perf::gate(
+        "ext_serve_soak",
+        perf,
+        &baseline_path(),
+        DEFAULT_TOLERANCE,
+        gate_against,
+    )
 }
 
 #[cfg(test)]
@@ -438,7 +352,7 @@ mod tests {
             row("serve_churn/200dev_2gw/journal/p99", 12.0),
             row(CALIBRATION_ID, 2.0),
         ]);
-        assert!(gate_against(&fine, &baseline, 0.25).is_empty());
+        assert_eq!(gate_against(&fine, &baseline, 0.25), Ok(vec![]));
         // … but journal overhead past it is a regression of its own,
         // even when the plain row is healthy.
         let slow = report(vec![
@@ -446,7 +360,7 @@ mod tests {
             row("serve_churn/200dev_2gw/journal/p99", 20.0),
             row(CALIBRATION_ID, 2.0),
         ]);
-        let issues = gate_against(&slow, &baseline, 0.25);
+        let issues = gate_against(&slow, &baseline, 0.25).expect("same scale");
         assert_eq!(issues.len(), 1);
         assert!(
             issues[0].to_string().contains("(journaled)"),
@@ -479,13 +393,22 @@ mod tests {
             ],
         };
         let baseline = report("smoke", 10.0, 2.0);
-        assert!(gate_against(&report("smoke", 11.0, 2.0), &baseline, 0.25).is_empty());
         assert_eq!(
-            gate_against(&report("smoke", 20.0, 2.0), &baseline, 0.25).len(),
-            1
+            gate_against(&report("smoke", 11.0, 2.0), &baseline, 0.25),
+            Ok(vec![])
+        );
+        assert_eq!(
+            gate_against(&report("smoke", 20.0, 2.0), &baseline, 0.25).map(|i| i.len()),
+            Ok(1)
         );
         // A paper-scale run is not comparable to the smoke baseline.
-        assert!(gate_against(&report("paper", 20.0, 2.0), &baseline, 0.25).is_empty());
+        assert_eq!(
+            gate_against(&report("paper", 20.0, 2.0), &baseline, 0.25),
+            Err(ScaleMismatch {
+                current: "paper".into(),
+                baseline: "smoke".into(),
+            })
+        );
     }
 
     #[test]
@@ -513,11 +436,16 @@ mod tests {
         };
         let baseline = report(10.0, 2.0);
         // The whole box running 2x slower is not a serve regression …
-        assert!(gate_against(&report(20.0, 4.0), &baseline, 0.25).is_empty());
+        let issues = |current: &PerfReport| {
+            gate_against(current, &baseline, 0.25)
+                .expect("same scale")
+                .len()
+        };
+        assert_eq!(issues(&report(20.0, 4.0)), 0);
         // … but a 3x latency on a 2x-slower box is a genuine 1.5x one.
-        assert_eq!(gate_against(&report(30.0, 4.0), &baseline, 0.25).len(), 1);
+        assert_eq!(issues(&report(30.0, 4.0)), 1);
         // A faster box must not mask a real regression: same wall-clock
         // on a 2x-faster machine is a 2x work-per-cycle regression.
-        assert_eq!(gate_against(&report(10.0, 1.0), &baseline, 0.25).len(), 1);
+        assert_eq!(issues(&report(10.0, 1.0)), 1);
     }
 }

@@ -4,10 +4,10 @@
 //! plumbing in [`harness`], the stylised Section-II motivation engine in
 //! [`motivation`], and table/JSON output in [`output`].
 //!
-//! Every experiment is exposed both as a library function (so `run_all`
-//! and the integration tests can drive them) and as a binary under
-//! `src/bin/`. Results print as aligned tables and are archived as JSON
-//! under `target/experiments/`.
+//! Every experiment is a library function (so the integration tests can
+//! drive them), listed once in [`registry`] and run from the command
+//! line as `exp <name>` (or `exp all`). Results print as aligned tables
+//! and are archived as JSON under `target/experiments/`.
 //!
 //! Scale is controlled by the `EF_LORA_SCALE` environment variable:
 //! `smoke` (seconds, CI-sized), `small` (default, minutes, paper shapes at

@@ -19,8 +19,15 @@
 //! baseline `tests/golden/perf_baseline.json` with a fractional
 //! tolerance (CI uses 25 %); `EF_LORA_UPDATE_GOLDEN=1` rewrites the
 //! baseline, mirroring the conformance golden workflow.
+//!
+//! The gate itself ([`gate`]) is shared with the two experiments that
+//! carry perf baselines (`ext_scale`, `ext_serve_soak`): one baseline
+//! read/update workflow, one machine-speed probe ([`calibration_row`])
+//! and one probe-normalised comparator ([`gate_against`]). A baseline
+//! recorded at another scale preset is never compared row by row; the
+//! gate reports a [`ScaleMismatch`] skip instead.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -158,6 +165,210 @@ pub fn compare(current: &PerfReport, baseline: &PerfReport, tolerance: f64) -> V
     issues
 }
 
+/// Iterations of the machine-speed calibration kernel.
+const CALIBRATION_ITERS: u64 = 400_000;
+
+/// Raw machine speed: the fastest of three runs of a fixed floating-point
+/// kernel, in milliseconds. The kernel is deliberately independent of
+/// every crate code path, so a regression in the code under test cannot
+/// leak into the probe and cancel itself out of the gate.
+fn machine_probe_ms() -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        let mut acc = 1.0f64;
+        for i in 1..CALIBRATION_ITERS {
+            acc = (acc + 1.0 / i as f64).sqrt() * 1.000_000_1;
+        }
+        std::hint::black_box(acc);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// The machine-speed probe as a workload row named `id`, so a report
+/// records the speed of the machine it was measured on and
+/// [`gate_against`] can normalise by it.
+pub fn calibration_row(id: &str) -> WorkloadResult {
+    let ms = machine_probe_ms();
+    WorkloadResult {
+        id: id.to_string(),
+        devices: 0,
+        gateways: 0,
+        threads: 1,
+        events: CALIBRATION_ITERS,
+        median_ms: ms,
+        p95_ms: ms,
+        events_per_sec: if ms > 0.0 {
+            CALIBRATION_ITERS as f64 / (ms / 1_000.0)
+        } else {
+            0.0
+        },
+        devices_per_sec: 0.0,
+    }
+}
+
+/// A baseline recorded at another scale preset than the current report.
+/// Its rows measure other deployments, so the gate is skipped instead of
+/// reporting every baseline row as missing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleMismatch {
+    /// Scale preset of the current report.
+    pub current: String,
+    /// Scale preset the baseline was recorded at.
+    pub baseline: String,
+}
+
+impl std::fmt::Display for ScaleMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "baseline recorded at scale {}, this run is at scale {}",
+            self.baseline, self.current
+        )
+    }
+}
+
+/// Machine-normalises `current` against `baseline` ahead of [`compare`],
+/// returning the normalised current report and the baseline rows still
+/// comparable with it.
+///
+/// When both reports carry a `calibration_id` row ([`calibration_row`]),
+/// every latency in `current` is divided by the probe ratio
+/// `current / baseline`, so a uniformly slower (or faster) machine
+/// cancels out and only genuine regressions surface; without a probe on
+/// both sides times compare raw. `/rss_mib/` rows are memory, which does
+/// not scale with clock speed, so they are never normalised; a 0 reading
+/// (no `/proc`) means "not measured" and drops the row from both sides.
+///
+/// # Errors
+///
+/// [`ScaleMismatch`] when the reports were recorded at different scales.
+pub fn calibrate(
+    current: &PerfReport,
+    baseline: &PerfReport,
+    calibration_id: &str,
+) -> Result<(PerfReport, PerfReport), ScaleMismatch> {
+    if baseline.scale != current.scale {
+        return Err(ScaleMismatch {
+            current: current.scale.clone(),
+            baseline: baseline.scale.clone(),
+        });
+    }
+    let probe_of = |report: &PerfReport| {
+        report
+            .workloads
+            .iter()
+            .find(|w| w.id == calibration_id)
+            .map(|w| w.median_ms)
+            .filter(|&ms| ms > 0.0)
+    };
+    let speed = match (probe_of(current), probe_of(baseline)) {
+        (Some(cur), Some(base)) => cur / base,
+        _ => 1.0,
+    };
+    let mut scaled = current.clone();
+    scaled.workloads.retain_mut(|w| {
+        if w.id.contains("/rss_mib/") {
+            // An unmeasured RSS (non-Linux) must not read as "0 MiB used".
+            w.median_ms > 0.0
+        } else {
+            w.median_ms /= speed;
+            w.p95_ms /= speed;
+            true
+        }
+    });
+    let mut baseline = baseline.clone();
+    baseline.workloads.retain(|w| {
+        !w.id.contains("/rss_mib/")
+            || (w.median_ms > 0.0 && scaled.workloads.iter().any(|c| c.id == w.id))
+    });
+    Ok((scaled, baseline))
+}
+
+/// [`calibrate`] by the `calibration_id` probe, then [`compare`] at
+/// `tolerance`: the regression check of the `perf` binary and of
+/// `ext_scale`.
+///
+/// # Errors
+///
+/// [`ScaleMismatch`] when the reports were recorded at different scales.
+pub fn gate_against(
+    current: &PerfReport,
+    baseline: &PerfReport,
+    calibration_id: &str,
+    tolerance: f64,
+) -> Result<Vec<PerfIssue>, ScaleMismatch> {
+    let (scaled, baseline) = calibrate(current, baseline, calibration_id)?;
+    Ok(compare(&scaled, &baseline, tolerance))
+}
+
+/// The golden-baseline workflow, printing its outcome under `label`:
+/// with `EF_LORA_UPDATE_GOLDEN=1` ([`UPDATE_ENV`]) rewrites the baseline
+/// at `path` from `report`; otherwise, when a baseline exists there, gates `report`
+/// against it with `check(report, baseline, tolerance)`. Returns whether
+/// the gate passed: only regressions and an unreadable or unwritable
+/// baseline fail it, while a missing baseline or a [`ScaleMismatch`]
+/// skips it.
+pub fn gate(
+    label: &str,
+    report: &PerfReport,
+    path: &Path,
+    tolerance: f64,
+    check: impl FnOnce(&PerfReport, &PerfReport, f64) -> Result<Vec<PerfIssue>, ScaleMismatch>,
+) -> bool {
+    let shown = path.display();
+    if std::env::var(UPDATE_ENV).as_deref() == Ok("1") {
+        return match std::fs::write(path, to_json(report)) {
+            Ok(()) => {
+                println!("{label}: baseline updated at {shown}");
+                true
+            }
+            Err(e) => {
+                eprintln!("{label}: error: cannot write {shown}: {e}");
+                false
+            }
+        };
+    }
+    let Ok(body) = std::fs::read_to_string(path) else {
+        println!("{label}: no baseline at {shown}; gate skipped (set {UPDATE_ENV}=1 to create it)");
+        return true;
+    };
+    let baseline: PerfReport = match serde_json::from_str(&body) {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("{label}: error: {shown} is not a perf report: {e}");
+            return false;
+        }
+    };
+    match check(report, &baseline, tolerance) {
+        Err(mismatch) => {
+            println!("{label}: gate skipped: {shown}: {mismatch}");
+            true
+        }
+        Ok(issues) if issues.is_empty() => {
+            println!(
+                "{label}: within {:.0}% of baseline {} ({shown})",
+                tolerance * 100.0,
+                baseline.git_describe
+            );
+            true
+        }
+        Ok(issues) => {
+            eprintln!(
+                "{label}: {} regression(s) beyond {:.0}%:",
+                issues.len(),
+                tolerance * 100.0
+            );
+            for issue in &issues {
+                eprintln!("  {issue}");
+            }
+            eprintln!("(rerun with {UPDATE_ENV}=1 to accept the new baseline)");
+            false
+        }
+    }
+}
+
 /// The report with every machine/run-dependent field zeroed: timings,
 /// throughputs and the `git_describe` stamp. What remains — the schema,
 /// the matrix shape and the deterministic event counts — must be
@@ -183,16 +394,21 @@ pub fn to_json(report: &PerfReport) -> String {
     body
 }
 
-/// Path of the checked-in perf baseline
-/// (`<repo>/tests/golden/perf_baseline.json`), mirroring the conformance
-/// golden layout.
-pub fn baseline_path() -> PathBuf {
+/// Path of the checked-in golden file `file`
+/// (`<repo>/tests/golden/<file>`), the layout the conformance goldens use.
+pub fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
         .join("tests")
         .join("golden")
-        .join("perf_baseline.json")
+        .join(file)
+}
+
+/// Path of the checked-in perf baseline
+/// (`<repo>/tests/golden/perf_baseline.json`).
+pub fn baseline_path() -> PathBuf {
+    golden_path("perf_baseline.json")
 }
 
 /// `git describe --always --dirty`, or `"unknown"` when git or the
@@ -471,6 +687,15 @@ mod tests {
         }
     }
 
+    fn temp_baseline(name: &str, report: &PerfReport) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "ef-lora-perf-gate-{}-{name}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, to_json(report)).expect("temp baseline writable");
+        path
+    }
+
     #[test]
     fn comparator_passes_identical_baseline() {
         let r = report_with("w", 10.0);
@@ -508,6 +733,52 @@ mod tests {
         // Within tolerance passes.
         current = report_with("w", 12.0);
         assert!(compare(&current, &baseline, DEFAULT_TOLERANCE).is_empty());
+    }
+
+    #[test]
+    fn baseline_at_another_scale_is_a_typed_skip_not_missing_rows() {
+        // `perf` at its default (small) scale against the smoke baseline:
+        // no row ids match, and a raw comparison reports every baseline
+        // row as missing.
+        let smoke = report_with("alloc_scan/60dev_1gw_t1", 10.0);
+        let mut small = report_with("alloc_scan/300dev_2gw_t1", 90.0);
+        small.scale = "small".to_string();
+        assert!(matches!(
+            compare(&small, &smoke, DEFAULT_TOLERANCE).as_slice(),
+            [PerfIssue::Missing { .. }]
+        ));
+        let mismatch = ScaleMismatch {
+            current: "small".to_string(),
+            baseline: "smoke".to_string(),
+        };
+        assert_eq!(
+            gate_against(&small, &smoke, "probe", DEFAULT_TOLERANCE),
+            Err(mismatch.clone())
+        );
+        let message = mismatch.to_string();
+        assert!(
+            message.contains("small") && message.contains("smoke"),
+            "{message}"
+        );
+
+        // The baseline workflow skips the gate rather than failing it.
+        let path = temp_baseline("scale-skip", &smoke);
+        let check = |c: &PerfReport, b: &PerfReport, t: f64| gate_against(c, b, "probe", t);
+        assert!(gate("test", &small, &path, DEFAULT_TOLERANCE, check));
+        std::fs::remove_file(&path).expect("temp baseline removable");
+    }
+
+    #[test]
+    fn gate_workflow_fails_only_on_regressions_and_bad_baselines() {
+        let check = |c: &PerfReport, b: &PerfReport, t: f64| gate_against(c, b, "probe", t);
+        let baseline = report_with("w", 10.0);
+        let path = temp_baseline("workflow", &baseline);
+        assert!(gate("test", &report_with("w", 12.0), &path, 0.25, check));
+        assert!(!gate("test", &report_with("w", 20.0), &path, 0.25, check));
+        std::fs::write(&path, "not json").expect("temp baseline writable");
+        assert!(!gate("test", &baseline, &path, 0.25, check));
+        std::fs::remove_file(&path).expect("temp baseline removable");
+        assert!(gate("test", &baseline, &path, 0.25, check), "no baseline");
     }
 
     #[test]

@@ -1,166 +1,112 @@
-//! Single source of truth for the experiment binaries.
+//! Single source of truth for the experiments.
 //!
-//! Every experiment under `src/bin/` is a thin wrapper over a library
-//! function; this registry names them all once, so the `run_all` driver
-//! and CI consume the same list and a test can assert the registry and
-//! the `src/bin/` directory never drift apart.
+//! Every experiment is a library function under `experiments`; this
+//! registry names them all once, and the `exp` binary dispatches on it
+//! (`exp <name>` runs one, `exp all` runs every one in registry order),
+//! so CI and the docs name experiments exactly as the registry does.
 
+use crate::experiments::{
+    ext_adr, ext_confirmed_traffic, ext_heterogeneous_rates, ext_incremental, ext_inter_sf,
+    ext_scale, ext_scenarios, ext_serve_soak, fig10_convergence, fig4_ee_per_device, fig5_ee_cdf,
+    fig6_min_ee_vs_devices, fig7_min_ee_vs_gateways, fig8_network_lifetime, fig9_decomposition,
+    model_validation, resilience, table1_sf_motivation, table2_tp_motivation,
+};
 use crate::harness::Scale;
 
-/// One experiment binary: its `src/bin/<name>.rs` stem and the library
-/// entry point it wraps.
-pub struct ExperimentBin {
-    /// Binary name (the `src/bin/` file stem).
+/// One registered experiment: its name and the library entry point it
+/// runs.
+pub struct Experiment {
+    /// Experiment name, the argument of `exp <name>`.
     pub name: &'static str,
     /// Runs the experiment at the given scale, discarding its result
     /// (results are archived as JSON under `target/experiments/`).
     pub run: fn(&Scale),
+    /// For an experiment with a checked-in perf baseline: runs it and
+    /// gates the result against that baseline, returning whether the
+    /// gate passed. `exp <name>` runs this instead of [`Self::run`];
+    /// `exp all` does not gate.
+    pub gated: Option<fn(&Scale) -> bool>,
 }
 
-fn table1(_: &Scale) {
-    crate::experiments::table1_sf_motivation::run();
-}
-fn table2(_: &Scale) {
-    crate::experiments::table2_tp_motivation::run();
-}
-fn fig4(scale: &Scale) {
-    let _ = crate::experiments::fig4_ee_per_device::run(scale);
-}
-fn fig5(scale: &Scale) {
-    let _ = crate::experiments::fig5_ee_cdf::run(scale);
-}
-fn fig6(scale: &Scale) {
-    let _ = crate::experiments::fig6_min_ee_vs_devices::run(scale);
-}
-fn fig7(scale: &Scale) {
-    let _ = crate::experiments::fig7_min_ee_vs_gateways::run(scale);
-}
-fn fig8(scale: &Scale) {
-    let _ = crate::experiments::fig8_network_lifetime::run(scale);
-}
-fn fig9(scale: &Scale) {
-    let _ = crate::experiments::fig9_decomposition::run(scale);
-}
-fn fig10(scale: &Scale) {
-    let _ = crate::experiments::fig10_convergence::run(scale);
-}
-fn model_validation(scale: &Scale) {
-    let _ = crate::experiments::model_validation::run(scale);
-}
-fn ext_inter_sf(scale: &Scale) {
-    let _ = crate::experiments::ext_inter_sf::run(scale);
-}
-fn ext_heterogeneous_rates(scale: &Scale) {
-    let _ = crate::experiments::ext_heterogeneous_rates::run(scale);
-}
-fn ext_incremental(scale: &Scale) {
-    let _ = crate::experiments::ext_incremental::run(scale);
-}
-fn ext_confirmed_traffic(scale: &Scale) {
-    let _ = crate::experiments::ext_confirmed_traffic::run(scale);
-}
-fn ext_adr(scale: &Scale) {
-    let _ = crate::experiments::ext_adr::run(scale);
-}
-fn resilience(scale: &Scale) {
-    let _ = crate::experiments::resilience::run(scale);
-}
-fn ext_scenarios(scale: &Scale) {
-    let _ = crate::experiments::ext_scenarios::run(scale);
-}
-fn ext_serve_soak(scale: &Scale) {
-    let _ = crate::experiments::ext_serve_soak::run(scale);
-}
-fn ext_scale(scale: &Scale) {
-    let _ = crate::experiments::ext_scale::run(scale);
+const fn experiment(name: &'static str, run: fn(&Scale)) -> Experiment {
+    Experiment {
+        name,
+        run,
+        gated: None,
+    }
 }
 
-/// Every experiment binary, in the order `run_all` executes them.
-pub const EXPERIMENTS: &[ExperimentBin] = &[
-    ExperimentBin {
-        name: "table1_sf_motivation",
-        run: table1,
-    },
-    ExperimentBin {
-        name: "table2_tp_motivation",
-        run: table2,
-    },
-    ExperimentBin {
-        name: "fig4_ee_per_device",
-        run: fig4,
-    },
-    ExperimentBin {
-        name: "fig5_ee_cdf",
-        run: fig5,
-    },
-    ExperimentBin {
-        name: "fig6_min_ee_vs_devices",
-        run: fig6,
-    },
-    ExperimentBin {
-        name: "fig7_min_ee_vs_gateways",
-        run: fig7,
-    },
-    ExperimentBin {
-        name: "fig8_network_lifetime",
-        run: fig8,
-    },
-    ExperimentBin {
-        name: "fig9_decomposition",
-        run: fig9,
-    },
-    ExperimentBin {
-        name: "fig10_convergence",
-        run: fig10,
-    },
-    ExperimentBin {
-        name: "model_validation",
-        run: model_validation,
-    },
-    ExperimentBin {
-        name: "ext_inter_sf",
-        run: ext_inter_sf,
-    },
-    ExperimentBin {
-        name: "ext_heterogeneous_rates",
-        run: ext_heterogeneous_rates,
-    },
-    ExperimentBin {
-        name: "ext_incremental",
-        run: ext_incremental,
-    },
-    ExperimentBin {
-        name: "ext_confirmed_traffic",
-        run: ext_confirmed_traffic,
-    },
-    ExperimentBin {
-        name: "ext_adr",
-        run: ext_adr,
-    },
-    ExperimentBin {
-        name: "resilience",
-        run: resilience,
-    },
-    ExperimentBin {
-        name: "ext_scenarios",
-        run: ext_scenarios,
-    },
-    ExperimentBin {
+/// Every experiment, in the order `exp all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    experiment("table1_sf_motivation", |_| {
+        table1_sf_motivation::run();
+    }),
+    experiment("table2_tp_motivation", |_| {
+        table2_tp_motivation::run();
+    }),
+    experiment("fig4_ee_per_device", |s| {
+        fig4_ee_per_device::run(s);
+    }),
+    experiment("fig5_ee_cdf", |s| {
+        fig5_ee_cdf::run(s);
+    }),
+    experiment("fig6_min_ee_vs_devices", |s| {
+        fig6_min_ee_vs_devices::run(s);
+    }),
+    experiment("fig7_min_ee_vs_gateways", |s| {
+        fig7_min_ee_vs_gateways::run(s);
+    }),
+    experiment("fig8_network_lifetime", |s| {
+        fig8_network_lifetime::run(s);
+    }),
+    experiment("fig9_decomposition", |s| {
+        fig9_decomposition::run(s);
+    }),
+    experiment("fig10_convergence", |s| {
+        fig10_convergence::run(s);
+    }),
+    experiment("model_validation", |s| {
+        model_validation::run(s);
+    }),
+    experiment("ext_inter_sf", |s| {
+        ext_inter_sf::run(s);
+    }),
+    experiment("ext_heterogeneous_rates", |s| {
+        ext_heterogeneous_rates::run(s);
+    }),
+    experiment("ext_incremental", |s| {
+        ext_incremental::run(s);
+    }),
+    experiment("ext_confirmed_traffic", |s| {
+        ext_confirmed_traffic::run(s);
+    }),
+    experiment("ext_adr", |s| {
+        ext_adr::run(s);
+    }),
+    experiment("resilience", |s| {
+        resilience::run(s);
+    }),
+    experiment("ext_scenarios", |s| {
+        ext_scenarios::run(s);
+    }),
+    Experiment {
         name: "ext_serve_soak",
-        run: ext_serve_soak,
+        run: |s| {
+            ext_serve_soak::run(s);
+        },
+        gated: Some(|s| ext_serve_soak::gate(&ext_serve_soak::run(s))),
     },
-    ExperimentBin {
+    Experiment {
         name: "ext_scale",
-        run: ext_scale,
+        run: |s| {
+            ext_scale::run(s);
+        },
+        gated: Some(|s| ext_scale::gate(&ext_scale::run(s))),
     },
 ];
 
-/// Binaries under `src/bin/` that drive experiments rather than being
-/// one: the sequential runner and the perf harness.
-pub const DRIVER_BINS: &[&str] = &["run_all", "perf"];
-
-/// Looks an experiment up by binary name.
-pub fn find(name: &str) -> Option<&'static ExperimentBin> {
+/// Looks an experiment up by name.
+pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
@@ -172,11 +118,21 @@ mod tests {
     fn registry_is_unique_and_findable() {
         for e in EXPERIMENTS {
             assert!(find(e.name).is_some());
-            assert!(!DRIVER_BINS.contains(&e.name), "{} is both kinds", e.name);
         }
         let mut names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate registry entries");
+        assert!(find("all").is_none(), "`exp all` reserves the name");
+    }
+
+    #[test]
+    fn exactly_the_baselined_experiments_are_gated() {
+        let gated: Vec<_> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.gated.is_some())
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(gated, ["ext_serve_soak", "ext_scale"]);
     }
 }

@@ -1,54 +1,69 @@
-//! Pins the experiment registry to the `src/bin/` directory: every
-//! binary is either a registered experiment or a declared driver, and
-//! vice versa — so adding a binary without registering it (or retiring
-//! one without cleaning up) fails here, and `run_all`/CI never silently
-//! drop an experiment.
+//! Pins the docs and CI to the experiment registry: every
+//! `exp -- <name>` they run must resolve through [`find`], none may still
+//! name an experiment as a binary of its own, and CI must run the whole
+//! registry — so renaming or retiring an experiment without updating
+//! them fails here.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use ef_lora_bench::registry::{find, DRIVER_BINS, EXPERIMENTS};
+use ef_lora_bench::registry::{find, EXPERIMENTS};
 
-fn bin_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("src")
-        .join("bin")
+/// The files that tell a reader (or CI) how to run an experiment,
+/// relative to the repository root.
+const SOURCES: &[&str] = &[
+    ".github/workflows/ci.yml",
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+];
+
+fn read(relative: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+        .join(relative);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn bin_stems() -> BTreeSet<String> {
-    std::fs::read_dir(bin_dir())
-        .expect("src/bin exists")
-        .map(|entry| entry.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .map(|p| {
-            p.file_stem()
-                .expect("file stem")
-                .to_str()
-                .expect("utf-8 name")
-                .to_string()
-        })
-        .collect()
+/// The word following every occurrence of `marker` in `text`.
+fn words_after<'a>(text: &'a str, marker: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+    text.split(marker).skip(1).map(|rest| {
+        rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+            .next()
+            .unwrap_or("")
+    })
 }
 
 #[test]
-fn registry_matches_bin_directory() {
-    let on_disk = bin_stems();
-    let registered: BTreeSet<String> = EXPERIMENTS
-        .iter()
-        .map(|e| e.name.to_string())
-        .chain(DRIVER_BINS.iter().map(|d| d.to_string()))
-        .collect();
+fn every_documented_exp_command_resolves_through_the_registry() {
+    let mut commands = 0;
+    for source in SOURCES {
+        let text = read(source);
+        for name in words_after(&text, "--bin exp -- ") {
+            commands += 1;
+            assert!(
+                name == "all" || find(name).is_some(),
+                "{source}: `exp -- {name}` names no registered experiment"
+            );
+        }
+        for bin in words_after(&text, "--bin ") {
+            assert!(
+                bin != "run_all" && find(bin).is_none(),
+                "{source}: `--bin {bin}` is gone; run it as `--bin exp -- {bin}`"
+            );
+        }
+    }
+    assert!(commands > 0, "no `--bin exp -- <name>` command found");
 
-    let unregistered: Vec<_> = on_disk.difference(&registered).collect();
-    assert!(
-        unregistered.is_empty(),
-        "binaries missing from the registry (add to EXPERIMENTS or DRIVER_BINS): {unregistered:?}"
-    );
-    let phantom: Vec<_> = registered.difference(&on_disk).collect();
-    assert!(
-        phantom.is_empty(),
-        "registry entries without a src/bin file: {phantom:?}"
-    );
+    // CI runs the whole registry and both perf-gated experiments.
+    let ci = read(SOURCES[0]);
+    for command in [
+        "--bin exp -- all",
+        "--bin exp -- ext_serve_soak",
+        "--bin exp -- ext_scale",
+    ] {
+        assert!(ci.contains(command), "ci.yml must run `{command}`");
+    }
 }
 
 #[test]
@@ -57,27 +72,9 @@ fn registry_lookup_round_trips() {
         let found = find(experiment.name).expect("registered name resolves");
         assert_eq!(found.name, experiment.name);
     }
-    assert!(find("run_all").is_none(), "drivers are not experiments");
-    assert!(find("no_such_bin").is_none());
-}
-
-#[test]
-fn ci_consumes_the_registry_drivers() {
-    // CI runs experiments through the drivers, not by naming individual
-    // experiment bins — so the registry stays the single source of truth.
-    let ci = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-            .join(".github")
-            .join("workflows")
-            .join("ci.yml"),
-    )
-    .expect("ci.yml exists");
-    for driver in DRIVER_BINS {
-        assert!(
-            ci.contains(&format!("--bin {driver}")),
-            "ci.yml must run the `{driver}` driver"
-        );
-    }
+    assert!(
+        find("all").is_none(),
+        "`all` is the dispatcher's, not an experiment"
+    );
+    assert!(find("no_such_experiment").is_none());
 }

@@ -7,36 +7,18 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MacError {
-    /// A frame buffer was too short or malformed to decode.
-    MalformedFrame {
-        /// Human-readable reason.
-        reason: &'static str,
-    },
-    /// The frame MIC did not verify under the given key.
-    MicMismatch,
-    /// The application payload exceeds the maximum for the data rate.
-    PayloadTooLarge {
-        /// The offending length in bytes.
-        len: usize,
-        /// Maximum accepted length in bytes.
-        max: usize,
-    },
-    /// A schedule with a non-positive reporting interval.
+    /// Receive-window timing that is not ordered `0 < RX1 < RX2` or a
+    /// window/power value that is not positive (see
+    /// [`crate::ClassAParams::validate`]).
     InvalidInterval,
 }
 
 impl fmt::Display for MacError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MacError::MalformedFrame { reason } => write!(f, "malformed frame: {reason}"),
-            MacError::MicMismatch => write!(f, "message integrity code mismatch"),
-            MacError::PayloadTooLarge { len, max } => {
-                write!(
-                    f,
-                    "application payload of {len} bytes exceeds maximum of {max} bytes"
-                )
+            MacError::InvalidInterval => {
+                write!(f, "receive-window timing must be positive and ordered")
             }
-            MacError::InvalidInterval => write!(f, "reporting interval must be positive"),
         }
     }
 }
@@ -55,9 +37,8 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(MacError::MicMismatch.to_string().contains("integrity"));
-        assert!(MacError::MalformedFrame { reason: "short" }
+        assert!(MacError::InvalidInterval
             .to_string()
-            .contains("short"));
+            .contains("receive-window"));
     }
 }

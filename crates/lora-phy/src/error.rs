@@ -33,13 +33,6 @@ pub enum PhyError {
         /// Number of channels in the plan.
         plan_len: usize,
     },
-    /// A non-finite or non-positive physical quantity where one is required.
-    InvalidQuantity {
-        /// Name of the quantity (for diagnostics).
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for PhyError {
@@ -62,9 +55,6 @@ impl fmt::Display for PhyError {
                     f,
                     "channel index {index} outside plan of {plan_len} channels"
                 )
-            }
-            PhyError::InvalidQuantity { what, value } => {
-                write!(f, "invalid value {value} for {what}")
             }
         }
     }

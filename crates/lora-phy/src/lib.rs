@@ -44,10 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bits;
 pub mod channel;
-pub mod codec;
-pub mod datarate;
 pub mod energy;
 pub mod error;
 pub mod fading;
@@ -60,7 +57,6 @@ pub mod toa;
 pub mod txconfig;
 
 pub use channel::{Bandwidth, Channel};
-pub use datarate::DataRate;
 pub use error::PhyError;
 pub use fading::Fading;
 pub use power::TxPowerDbm;
