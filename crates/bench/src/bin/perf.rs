@@ -112,12 +112,8 @@ fn main() -> ExitCode {
     let mut report = run_workloads(&scale, args.reps);
     // The sharded-allocator scaling curve rides along in the same
     // report, so BENCH_PERF.json carries the scale-out rows next to the
-    // hot-path ones. Regression-gating of these rows happens in
-    // `exp ext_scale` against `tests/golden/scale_baseline.json`; here
-    // they are data, not a gate — the hot-path baseline predates them,
-    // and new rows pass `compare` silently. The gate normalises by their
-    // `ext_scale` probe once a baseline carries one; the checked-in
-    // baseline does not, so it compares raw.
+    // hot-path ones, and its `ext_scale` probe is the calibration row the
+    // gate normalises every latency by.
     report.workloads.extend(ext_scale::run(&scale).workloads);
     print_report(&report);
 

@@ -1,11 +1,17 @@
-//! Machine-readable performance harness (`ef-lora-bench --bin perf`).
+//! Machine-readable performance harness (`ef-lora-bench --bin perf`), the
+//! repository's one micro-benchmark harness.
 //!
 //! Runs a fixed, deterministic workload matrix — deployments of
-//! (devices × gateways) crossed with worker-thread counts — over the
-//! proven hot paths: the EF-LoRa greedy candidate scan, a full simulator
-//! epoch, the analytical model evaluation, the attenuation-matrix build,
-//! the fresh-vs-shared simulation construction and the time-on-air grid
-//! (recomputed vs [`lora_phy::ToaLut`]).
+//! (devices × gateways) crossed with worker-thread counts — over every
+//! hot path, one row each: the EF-LoRa greedy candidate scan, incremental
+//! repair vs a full re-run after growth, a full simulator epoch, the
+//! analytical model (mean-field, Laplace/PPP reduction, exact θ, and the
+//! greedy's single-device move), the attenuation-matrix build, the
+//! fresh-vs-shared simulation construction, and the deployment-free
+//! kernels: the time-on-air grid (recomputed vs [`lora_phy::ToaLut`],
+//! plus the LUT build), the link budget, the capacity θ kernels and the
+//! simulator medium. Kernels under 50 µs repeat a fixed number of times
+//! per sample so each sample clears the timer-noise floor.
 //!
 //! Each workload is repeated `reps` times; the report records the median
 //! and 95th-percentile wall-clock plus derived throughput
@@ -27,15 +33,20 @@
 //! recorded at another scale preset is never compared row by row; the
 //! gate reports a [`ScaleMismatch`] skip instead.
 
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use ef_lora::{AllocationContext, EfLora, Strategy};
+use ef_lora::{AllocationContext, EfLora, IncrementalAllocator, Strategy};
+use lora_mac::collision::InterSfPolicy;
+use lora_model::capacity::{poisson_at_most, poisson_binomial_at_most, OTHERS_BUDGET};
 use lora_model::NetworkModel;
+use lora_phy::link::{min_feasible_sf, noise_floor_dbm, received_power_dbm};
 use lora_phy::toa::{ToaLut, ToaParams, MAX_PHY_PAYLOAD};
-use lora_phy::{Bandwidth, SpreadingFactor};
+use lora_phy::{Bandwidth, SpreadingFactor, TxConfig, TxPowerDbm};
+use lora_sim::medium::{ActiveTx, Medium};
 use lora_sim::{Simulation, Topology};
 
 use crate::harness::{paper_config_at, Scale, ScaleKind};
@@ -180,7 +191,7 @@ fn machine_probe_ms() -> f64 {
         for i in 1..CALIBRATION_ITERS {
             acc = (acc + 1.0 / i as f64).sqrt() * 1.000_000_1;
         }
-        std::hint::black_box(acc);
+        black_box(acc);
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     best
@@ -480,6 +491,33 @@ fn result_from(
     }
 }
 
+/// Runs `kernel` `times` times inside one sample and sums its events.
+/// Kernels that finish in under 50 µs repeat a fixed number of times, so
+/// each sample clears the ~1 ms timer-noise floor while `events` stays
+/// deterministic.
+fn repeat(times: u64, mut kernel: impl FnMut() -> u64) -> u64 {
+    (0..times).map(|_| kernel()).sum()
+}
+
+/// Full (SF × payload) time-on-air grid sweeps per `toa_grid` sample.
+const TOA_SWEEPS: u64 = 500;
+/// Cells of one (SF × payload) time-on-air grid.
+const TOA_GRID: u64 = (SpreadingFactor::ALL.len() * (MAX_PHY_PAYLOAD + 1)) as u64;
+
+/// Sums `toa` over [`TOA_SWEEPS`] full grids; returns the cells visited.
+fn toa_sweeps(toa: impl Fn(SpreadingFactor, usize) -> f64) -> u64 {
+    let mut acc = 0.0f64;
+    for _ in 0..TOA_SWEEPS {
+        for sf in SpreadingFactor::ALL {
+            for len in 0..=MAX_PHY_PAYLOAD {
+                acc += toa(sf, len);
+            }
+        }
+    }
+    black_box(acc);
+    TOA_SWEEPS * TOA_GRID
+}
+
 /// Measures the workload matrix over the given deployments. The public
 /// entry point is [`run_workloads`]; tests call this with a single tiny
 /// deployment.
@@ -496,6 +534,10 @@ pub fn run_matrix(deps: &[(usize, usize)], scale: &Scale, reps: usize) -> PerfRe
         let model = NetworkModel::new(&config, &topology);
         let ctx = AllocationContext::new(&config, &topology, &model);
         let tag = format!("{n_dev}dev_{n_gw}gw");
+        // A single-threaded row `{family}/{tag}` of this deployment.
+        let row = |family: &str, kernel: &mut dyn FnMut() -> u64| {
+            result_from(format!("{family}/{tag}"), n_dev, n_gw, 1, reps, kernel)
+        };
 
         // EF-LoRa greedy candidate scan, serial and parallel.
         for &threads in &thread_counts {
@@ -512,8 +554,7 @@ pub fn run_matrix(deps: &[(usize, usize)], scale: &Scale, reps: usize) -> PerfRe
                         .expect("allocates");
                     // Candidate evaluations per pass: every device scans
                     // the full (SF × channel × TP) grid.
-                    std::hint::black_box(alloc.as_slice().len() as u64)
-                        * ctx.candidate_count() as u64
+                    black_box(alloc.as_slice().len() as u64) * ctx.candidate_count() as u64
                 },
             ));
         }
@@ -523,129 +564,211 @@ pub fn run_matrix(deps: &[(usize, usize)], scale: &Scale, reps: usize) -> PerfRe
             .with_threads(scale.threads)
             .allocate(&ctx)
             .expect("allocates");
+        let alloc = alloc.as_slice();
         let mut sim_cfg = config.clone();
         sim_cfg.duration_s = scale.duration_s;
         let sim = Simulation::with_attenuation(
             sim_cfg.clone(),
             topology.clone(),
-            alloc.as_slice().to_vec(),
+            alloc.to_vec(),
             model.shared_attenuation().clone(),
         )
         .expect("builds");
-        workloads.push(result_from(
-            format!("sim_epoch/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let report = sim.run();
-                report.devices.iter().map(|d| u64::from(d.attempts)).sum()
-            },
-        ));
+        workloads.push(row("sim_epoch", &mut || {
+            let report = sim.run();
+            report.devices.iter().map(|d| u64::from(d.attempts)).sum()
+        }));
 
-        // Analytical model evaluation (Eq. 5–20) of the allocation.
-        workloads.push(result_from(
-            format!("model_eval/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let ee = model.evaluate(alloc.as_slice());
-                std::hint::black_box(ee.len() as u64)
-            },
-        ));
+        // Analytical model evaluation of the allocation: the mean-field
+        // path (Eq. 5–16), the paper's Laplace/PPP reduction (Eq. 17–20)
+        // and the exact Poisson–binomial capacity θ (Eq. 12, O(N²·G)).
+        const EVAL_REPEATS: u64 = 100;
+        workloads.push(row("model_eval", &mut || {
+            repeat(EVAL_REPEATS, || {
+                black_box(model.evaluate(alloc)).len() as u64
+            })
+        }));
+        workloads.push(row("model_eval_laplace", &mut || {
+            repeat(EVAL_REPEATS, || {
+                black_box(model.evaluate_laplace(alloc)).len() as u64
+            })
+        }));
+        workloads.push(row("model_eval_exact_theta", &mut || {
+            black_box(model.evaluate_exact_theta(alloc)).len() as u64
+        }));
+
+        // The greedy's incremental move: the network minimum if the
+        // middle device moved, unpruned (−∞ floor) and pruned right after
+        // the mover's own EE (+∞ floor).
+        const MOVE_REPEATS: u64 = 20_000;
+        let state = model.state(alloc.to_vec()).expect("valid allocation");
+        let target = TxConfig::new(
+            SpreadingFactor::Sf9,
+            TxPowerDbm::new(8.0),
+            2 % ctx.channel_count(),
+        );
+        for (family, floor) in [
+            ("model_move", f64::NEG_INFINITY),
+            ("model_move_pruned", f64::INFINITY),
+        ] {
+            workloads.push(row(family, &mut || {
+                repeat(MOVE_REPEATS, || {
+                    black_box(state.min_ee_if(n_dev / 2, target, floor));
+                    1
+                })
+            }));
+        }
+
+        // Section III-E churn: the deployment grown by 5 %, its new
+        // devices placed incrementally vs the whole network re-allocated.
+        let grown = Topology::disc(n_dev + n_dev.div_ceil(20), n_gw, 5_000.0, &config, 11);
+        let old = Topology::from_sites(
+            grown.devices()[..n_dev].to_vec(),
+            grown.gateways().to_vec(),
+            grown.radius_m(),
+        );
+        let old_model = NetworkModel::new(&config, &old);
+        let previous = EfLora::default()
+            .allocate(&AllocationContext::new(&config, &old, &old_model))
+            .expect("allocates");
+        let grown_model = NetworkModel::new(&config, &grown);
+        let grown_ctx = AllocationContext::new(&config, &grown, &grown_model);
+        workloads.push(row("alloc_incremental", &mut || {
+            IncrementalAllocator::default()
+                .extend(&grown_ctx, previous.as_slice())
+                .expect("extends")
+                .candidates_evaluated
+        }));
+        workloads.push(row("alloc_full_rerun", &mut || {
+            EfLora::default()
+                .allocate_with_report(&grown_ctx)
+                .expect("allocates")
+                .candidates_evaluated
+        }));
 
         // Path-loss grid build (the O(devices × gateways) powf sweep).
-        workloads.push(result_from(
-            format!("attenuation_build/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
+        const BUILD_REPEATS: u64 = 500;
+        workloads.push(row("attenuation_build", &mut || {
+            repeat(BUILD_REPEATS, || {
                 let m = lora_sim::attenuation_matrix(&config, &topology);
                 (m.device_count() * m.gateway_count()) as u64
-            },
-        ));
+            })
+        }));
 
         // Simulation construction: from scratch vs reusing the model's
         // shared matrix (the optimization `run_strategy` relies on).
-        workloads.push(result_from(
-            format!("sim_build/fresh/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
-                let sim =
-                    Simulation::new(sim_cfg.clone(), topology.clone(), alloc.as_slice().to_vec())
-                        .expect("builds");
-                std::hint::black_box(sim.topology().device_count() as u64)
-            },
-        ));
-        workloads.push(result_from(
-            format!("sim_build/shared/{tag}"),
-            n_dev,
-            n_gw,
-            1,
-            reps,
-            || {
+        workloads.push(row("sim_build/fresh", &mut || {
+            repeat(BUILD_REPEATS, || {
+                let sim = Simulation::new(sim_cfg.clone(), topology.clone(), alloc.to_vec())
+                    .expect("builds");
+                black_box(sim.topology().device_count() as u64)
+            })
+        }));
+        workloads.push(row("sim_build/shared", &mut || {
+            repeat(BUILD_REPEATS, || {
                 let sim = Simulation::with_attenuation(
                     sim_cfg.clone(),
                     topology.clone(),
-                    alloc.as_slice().to_vec(),
+                    alloc.to_vec(),
                     model.shared_attenuation().clone(),
                 )
                 .expect("builds");
-                std::hint::black_box(sim.topology().device_count() as u64)
+                black_box(sim.topology().device_count() as u64)
+            })
+        }));
+    }
+
+    // A deployment-independent kernel row.
+    let fixed = |id: &str, kernel: &mut dyn FnMut() -> u64| {
+        result_from(id.to_string(), 0, 0, 1, reps, kernel)
+    };
+
+    // Time-on-air over the full (SF × payload) grid: Eq. 4 recomputed
+    // per call vs one ToaLut lookup (the cached-ToA optimization), and
+    // the cost of building the LUT itself.
+    workloads.push(fixed("toa_grid/raw", &mut || {
+        toa_sweeps(|sf, len| {
+            ToaParams::new(sf, Bandwidth::Bw125, Default::default())
+                .time_on_air_s(len)
+                .expect("in range")
+        })
+    }));
+    let lut = ToaLut::new(Bandwidth::Bw125, Default::default());
+    workloads.push(fixed("toa_grid/lut", &mut || {
+        toa_sweeps(|sf, len| lut.time_on_air_s(sf, len).expect("in range"))
+    }));
+    workloads.push(fixed("toa_grid/lut_build", &mut || {
+        repeat(TOA_SWEEPS, || {
+            black_box(ToaLut::new(Bandwidth::Bw125, Default::default()));
+            TOA_GRID
+        })
+    }));
+
+    // The per-(device, gateway) reception chain the simulator evaluates
+    // on every transmission: RX power, noise floor, feasible SF.
+    const LINK_REPEATS: u64 = 500_000;
+    workloads.push(fixed("link_budget", &mut || {
+        repeat(LINK_REPEATS, || {
+            let rx = received_power_dbm(black_box(14.0), 128.0, 1.0);
+            let noise = noise_floor_dbm(Bandwidth::Bw125, 6.0);
+            black_box(min_feasible_sf(rx, Bandwidth::Bw125, 6.0, 0.0).map(|sf| (sf, noise)));
+            1
+        })
+    }));
+
+    // Gateway capacity θ (Eq. 12): the exact Poisson–binomial DP over n
+    // contenders and the Poisson tail the model approximates it with.
+    const THETA_REPEATS: u64 = 1_000;
+    for n in [100usize, 1_000, 5_000] {
+        let probs = vec![0.003f64; n];
+        workloads.push(fixed(
+            &format!("capacity/poisson_binomial/{n}"),
+            &mut || {
+                repeat(THETA_REPEATS, || {
+                    black_box(poisson_binomial_at_most(black_box(&probs), OTHERS_BUDGET));
+                    n as u64
+                })
             },
         ));
     }
+    const TAIL_REPEATS: u64 = 100_000;
+    workloads.push(fixed("capacity/poisson_tail", &mut || {
+        repeat(TAIL_REPEATS, || {
+            black_box(poisson_at_most(black_box(3.0), OTHERS_BUDGET));
+            1
+        })
+    }));
 
-    // Time-on-air over the full (SF × payload) grid: Eq. 4 recomputed
-    // per call vs one ToaLut lookup (the cached-ToA optimization).
-    const TOA_SWEEPS: u64 = 40;
-    workloads.push(result_from(
-        "toa_grid/raw".to_string(),
-        0,
-        0,
-        1,
-        reps,
-        || {
-            let mut acc = 0.0f64;
-            for _ in 0..TOA_SWEEPS {
-                for sf in SpreadingFactor::ALL {
-                    for len in 0..=MAX_PHY_PAYLOAD {
-                        acc += ToaParams::new(sf, Bandwidth::Bw125, Default::default())
-                            .time_on_air_s(len)
-                            .expect("in range");
-                    }
+    // The simulator medium's interference bookkeeping: start a batch of
+    // overlapping co-channel transmissions, then end each one and read
+    // the SINR its reception fate depends on.
+    const MEDIUM_BATCH: usize = 64;
+    const MEDIUM_REPEATS: u64 = 100;
+    const MEDIUM_GATEWAYS: usize = 3;
+    workloads.push(fixed(
+        &format!("sim_medium/overlap_cycle_{MEDIUM_BATCH}"),
+        &mut || {
+            repeat(MEDIUM_REPEATS, || {
+                let mut medium = Medium::new(InterSfPolicy::Orthogonal, MEDIUM_GATEWAYS);
+                for i in 0..MEDIUM_BATCH {
+                    medium.start(ActiveTx {
+                        device: i,
+                        seq: 0,
+                        start_s: i as f64 * 0.01,
+                        end_s: 2.0 + i as f64 * 0.01,
+                        sf: SpreadingFactor::Sf9,
+                        channel: 0,
+                        rx_power_mw: vec![1e-9; MEDIUM_GATEWAYS],
+                        interference_mw: vec![0.0; MEDIUM_GATEWAYS],
+                        demod_locked: vec![true; MEDIUM_GATEWAYS],
+                    });
                 }
-            }
-            std::hint::black_box(acc);
-            TOA_SWEEPS * 6 * (MAX_PHY_PAYLOAD as u64 + 1)
-        },
-    ));
-    let lut = ToaLut::new(Bandwidth::Bw125, Default::default());
-    workloads.push(result_from(
-        "toa_grid/lut".to_string(),
-        0,
-        0,
-        1,
-        reps,
-        || {
-            let mut acc = 0.0f64;
-            for _ in 0..TOA_SWEEPS {
-                for sf in SpreadingFactor::ALL {
-                    for len in 0..=MAX_PHY_PAYLOAD {
-                        acc += lut.time_on_air_s(sf, len).expect("in range");
-                    }
-                }
-            }
-            std::hint::black_box(acc);
-            TOA_SWEEPS * 6 * (MAX_PHY_PAYLOAD as u64 + 1)
+                let sinr: f64 = (0..MEDIUM_BATCH)
+                    .map(|i| medium.end(i, 0).sinr_db(0, 1e-12))
+                    .sum();
+                black_box(sinr);
+                MEDIUM_BATCH as u64
+            })
         },
     ));
 
@@ -791,6 +914,38 @@ mod tests {
         let a = run_matrix(&[(20, 1)], &scale, 1);
         let b = run_matrix(&[(20, 1)], &scale, 1);
         assert_eq!(to_json(&normalized(&a)), to_json(&normalized(&b)));
+
+        // Every row family is emitted, with work in it.
+        let deployment_rows = [
+            "alloc_scan/20dev_1gw_t1",
+            "alloc_scan/20dev_1gw_t2",
+            "sim_epoch/20dev_1gw",
+            "model_eval/20dev_1gw",
+            "model_eval_laplace/20dev_1gw",
+            "model_eval_exact_theta/20dev_1gw",
+            "model_move/20dev_1gw",
+            "model_move_pruned/20dev_1gw",
+            "alloc_incremental/20dev_1gw",
+            "alloc_full_rerun/20dev_1gw",
+            "attenuation_build/20dev_1gw",
+            "sim_build/fresh/20dev_1gw",
+            "sim_build/shared/20dev_1gw",
+        ];
+        let fixed_rows = [
+            "toa_grid/raw",
+            "toa_grid/lut",
+            "toa_grid/lut_build",
+            "link_budget",
+            "capacity/poisson_binomial/100",
+            "capacity/poisson_binomial/1000",
+            "capacity/poisson_binomial/5000",
+            "capacity/poisson_tail",
+            "sim_medium/overlap_cycle_64",
+        ];
+        for id in deployment_rows.into_iter().chain(fixed_rows) {
+            let row = a.workloads.iter().find(|w| w.id == id);
+            assert!(row.is_some_and(|w| w.events > 0), "{id}: {row:?}");
+        }
         // And the raw report round-trips through serde.
         let back: PerfReport = serde_json::from_str(&to_json(&a)).expect("parses");
         assert_eq!(back, a);

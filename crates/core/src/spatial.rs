@@ -246,7 +246,7 @@ impl SpatialEfLora {
         // mean field admits. Guard the merge with the exact localized
         // objective: the stitched allocation is kept only when it does
         // not degrade the (min, mean) EE of the solved phase.
-        let stitch = shards.stitch_cells(&alloc, &self.inner)?;
+        let stitch = shards.stitch_cells(&alloc)?;
         let mut boundary_reconfigured = 0usize;
         let mut stitched = alloc.clone();
         for cell_result in &stitch {
@@ -550,7 +550,7 @@ impl<'a> Shards<'a> {
             n_channels: config.region.uplink_channel_count(),
             n_groups: group_count(config.region.uplink_channel_count()),
             max_tp: *tp_levels.last().expect("regions define at least one TP"),
-            fixed_tp: params.inner_fixed_tp(),
+            fixed_tp: params.inner.fixed_tp(),
         })
     }
 
@@ -789,7 +789,7 @@ impl<'a> Shards<'a> {
             let solver = inner
                 .clone()
                 .with_threads(1)
-                .with_ordering(cell_ordering(inner_ordering(inner), cell));
+                .with_ordering(cell_ordering(inner.ordering(), cell));
             let report = solver.allocate_with_report(&ctx)?;
             Ok(CellOutcome {
                 members: self.grid.members(cell).to_vec(),
@@ -803,12 +803,7 @@ impl<'a> Shards<'a> {
 
     /// Phase 3: repair each cell's boundary band against the solved
     /// ring.
-    fn stitch_cells(
-        &self,
-        alloc: &[TxConfig],
-        inner: &EfLora,
-    ) -> Result<Vec<CellOutcome>, AllocError> {
-        let _ = inner;
+    fn stitch_cells(&self, alloc: &[TxConfig]) -> Result<Vec<CellOutcome>, AllocError> {
         let tally = GroupTally::of(alloc, self.n_groups, self.n_channels);
         let kernels = self.occupancy_kernels(&tally, FarFieldMode::Pricing);
         let repairer = IncrementalAllocator::new();
@@ -958,12 +953,6 @@ impl<'a> Shards<'a> {
     }
 }
 
-impl SpatialEfLora {
-    fn inner_fixed_tp(&self) -> Option<TxPowerDbm> {
-        inner_fixed_tp(&self.inner)
-    }
-}
-
 /// Derives a cell-specific ordering: random seeds are split per cell so
 /// no two cells replay the same permutation stream; the deterministic
 /// orders pass through unchanged.
@@ -987,17 +976,6 @@ fn summarize(ee: &[f64]) -> (f64, f64, f64) {
         0.0
     };
     (min, sum / n, jain)
-}
-
-// The inner solver's ordering and fixed TP are private to `EfLora`;
-// these accessors live here so `SpatialEfLora` does not need to mirror
-// the fields it already stores inside its template.
-fn inner_ordering(inner: &EfLora) -> DeviceOrdering {
-    inner.ordering()
-}
-
-fn inner_fixed_tp(inner: &EfLora) -> Option<TxPowerDbm> {
-    inner.fixed_tp()
 }
 
 #[cfg(test)]
