@@ -43,9 +43,11 @@ use lora_model::contention::{group_count, group_index};
 use lora_model::{Ambient, NetworkModel};
 use lora_phy::toa::ToaParams;
 use lora_phy::{dbm_to_mw, Bandwidth, SpreadingFactor, TxConfig, TxPowerDbm};
-use lora_sim::{AttenuationMatrix, DeviceSite, SimConfig, Topology};
+use lora_sim::metrics::{jain_index, mean, minimum};
+use lora_sim::{attenuation_row, DeviceSite, SimConfig, Topology};
 use lora_spatial::{
     attenuation_horizon_m, cell_size_m, CellGrid, FarFieldPricer, TiledAttenuation,
+    DEFAULT_HORIZON_EPSILON,
 };
 
 use crate::allocation::Allocation;
@@ -67,6 +69,15 @@ const EXCLUSION_CELLS: f64 = 1.5;
 /// Rounds of the tail-repair phase (phase 4).
 const TAIL_ROUNDS: usize = 16;
 
+/// Cap on each cell's exact gateway subset: the nearest gateways within
+/// the horizon. The interference horizon reaches tens of kilometres, so
+/// in a wide deployment every cell would otherwise tile — and scan —
+/// *every* gateway; serving only ever comes from the nearest few, and
+/// gateways dropped here are still priced through the far-field ambient.
+/// Per-cell cost then stays O(occupancy × cap) however many gateways the
+/// deployment has.
+const MAX_CELL_GATEWAYS: usize = 16;
+
 /// Worst devices repaired per tail round. Together with [`TAIL_ROUNDS`]
 /// this bounds the sequential work at 512 single-device repairs, each
 /// costing one cell-model build — independent of the population.
@@ -85,22 +96,18 @@ pub struct SpatialEfLora {
     threads: usize,
     dense_threshold: usize,
     target_occupancy: usize,
-    horizon_epsilon: f64,
-    max_cell_gateways: usize,
 }
 
 impl Default for SpatialEfLora {
     /// [`EfLora::default`] solver parameters, dense below 1000 devices,
-    /// 256 devices per cell, the default attenuation-horizon threshold,
-    /// single-threaded fan-out.
+    /// 256 devices per cell, single-threaded fan-out. The attenuation
+    /// horizon always uses [`DEFAULT_HORIZON_EPSILON`].
     fn default() -> Self {
         SpatialEfLora {
             inner: EfLora::default(),
             threads: 1,
             dense_threshold: 1_000,
             target_occupancy: 256,
-            horizon_epsilon: lora_spatial::DEFAULT_HORIZON_EPSILON,
-            max_cell_gateways: 16,
         }
     }
 }
@@ -165,27 +172,6 @@ impl SpatialEfLora {
     #[must_use]
     pub fn with_target_occupancy(mut self, devices: usize) -> Self {
         self.target_occupancy = devices.max(1);
-        self
-    }
-
-    /// Relevance threshold for the attenuation horizon (fraction of the
-    /// noise floor, see [`lora_spatial::horizon::attenuation_horizon_m`]).
-    #[must_use]
-    pub fn with_horizon_epsilon(mut self, epsilon: f64) -> Self {
-        self.horizon_epsilon = epsilon;
-        self
-    }
-
-    /// Caps each cell's exact gateway subset at the `k` nearest within
-    /// the horizon (default 16, minimum 1). The interference horizon
-    /// reaches tens of kilometres, so in a wide deployment every cell
-    /// would otherwise tile — and scan — *every* gateway; serving only
-    /// ever comes from the nearest few, and gateways dropped here are
-    /// still priced through the far-field ambient. Per-cell cost then
-    /// stays O(occupancy × k) however many gateways the deployment has.
-    #[must_use]
-    pub fn with_max_cell_gateways(mut self, k: usize) -> Self {
-        self.max_cell_gateways = k.max(1);
         self
     }
 
@@ -258,9 +244,9 @@ impl SpatialEfLora {
         }
         let solved_ee = shards.evaluate(&alloc)?;
         let stitched_ee = shards.evaluate(&stitched)?;
-        let (solved_min, solved_mean, _) = summarize(&solved_ee);
-        let (stitched_min, stitched_mean, _) = summarize(&stitched_ee);
-        let mut ee = if (stitched_min, stitched_mean) >= (solved_min, solved_mean) {
+        let mut ee = if (minimum(&stitched_ee), mean(&stitched_ee))
+            >= (minimum(&solved_ee), mean(&solved_ee))
+        {
             alloc = stitched;
             stitched_ee
         } else {
@@ -279,16 +265,15 @@ impl SpatialEfLora {
         // while a (min, mean) guard per round keeps the phase monotone.
         let (tail_reconfigured, tail_candidates) = shards.tail_repair(&mut alloc, &mut ee)?;
         candidates += tail_candidates;
-        let (min_ee, mean_ee, jain) = summarize(&ee);
         Ok(SpatialReport {
             allocation: Allocation::new(alloc),
             sharded: true,
             cells: shards.occupied.len(),
             cell_size_m: shards.grid.cell_size_m(),
             horizon_m: shards.horizon_m,
-            min_ee,
-            mean_ee,
-            jain,
+            min_ee: minimum(&ee),
+            mean_ee: mean(&ee),
+            jain: jain_index(&ee),
             boundary_reconfigured,
             tail_reconfigured,
             candidates_evaluated: candidates,
@@ -342,16 +327,15 @@ impl SpatialEfLora {
             .with_threads(self.threads)
             .allocate_with_report(&ctx)?;
         let ee = model.evaluate(report.allocation.as_slice());
-        let (min_ee, mean_ee, jain) = summarize(&ee);
         Ok(SpatialReport {
             allocation: report.allocation,
             sharded: false,
             cells: 1,
             cell_size_m: f64::INFINITY,
-            horizon_m: attenuation_horizon_m(config, self.horizon_epsilon),
-            min_ee,
-            mean_ee,
-            jain,
+            horizon_m: attenuation_horizon_m(config, DEFAULT_HORIZON_EPSILON),
+            min_ee: minimum(&ee),
+            mean_ee: mean(&ee),
+            jain: jain_index(&ee),
             boundary_reconfigured: 0,
             tail_reconfigured: 0,
             candidates_evaluated: report.candidates_evaluated,
@@ -484,7 +468,7 @@ impl<'a> Shards<'a> {
             sens_mw[sf.index()] = dbm_to_mw(sf.sensitivity_dbm(bw, config.noise_figure_db));
         }
 
-        let horizon_m = attenuation_horizon_m(config, params.horizon_epsilon);
+        let horizon_m = attenuation_horizon_m(config, DEFAULT_HORIZON_EPSILON);
         let edge = cell_size_m(
             horizon_m,
             topology.radius_m(),
@@ -496,7 +480,7 @@ impl<'a> Shards<'a> {
 
         // Per-cell gateway subsets: the gateways within the horizon (plus
         // the cell's half-diagonal, so every member is covered), capped
-        // at the `max_cell_gateways` nearest — distance ties broken by
+        // at the `MAX_CELL_GATEWAYS` nearest — distance ties broken by
         // gateway id — and always including the nearest so no cell is
         // gatewayless. Gateways beyond the cap stay priced through the
         // far-field ambient.
@@ -519,7 +503,7 @@ impl<'a> Shards<'a> {
                     .iter()
                     .enumerate()
                     .filter(|&(rank, &(d, _))| {
-                        rank == 0 || (d <= reach && rank < params.max_cell_gateways)
+                        rank == 0 || (d <= reach && rank < MAX_CELL_GATEWAYS)
                     })
                     .map(|(_, &(_, g))| g)
                     .collect();
@@ -572,15 +556,8 @@ impl<'a> Shards<'a> {
     fn initial_allocation(&self) -> Vec<TxConfig> {
         let tp = self.fixed_tp.unwrap_or(self.max_tp);
         let max_p_mw = self.max_tp.milliwatts();
-        let gateways = self.topology.gateways();
         lora_parallel::par_map_indexed(self.topology.device_count(), self.threads, |i| {
-            let site = &self.topology.devices()[i];
-            let d_min = gateways
-                .iter()
-                .map(|gw| site.position.distance_to(gw))
-                .fold(f64::INFINITY, f64::min);
-            let beta = self.config.betas.beta(site.environment);
-            let best_atten = self.config.path_loss.attenuation(d_min, beta);
+            let best_atten = self.topology.nearest_gateway_attenuation(self.config, i);
             let sf = SpreadingFactor::ALL
                 .into_iter()
                 .find(|sf| max_p_mw * best_atten >= self.sens_mw[sf.index()])
@@ -609,6 +586,7 @@ impl<'a> Shards<'a> {
             .collect();
 
         // Exact one-ring contributions.
+        let mut row = Vec::with_capacity(g);
         let mut near_count = vec![0.0; self.n_groups];
         let mut near_power = vec![0.0; self.n_groups];
         for &member in self.grid.members(cell) {
@@ -625,13 +603,14 @@ impl<'a> Shards<'a> {
             near_count[grp] += 1.0;
             near_power[grp] += p_mw;
             ambient.load[grp] += duty;
-            let site = &self.topology.devices()[j as usize];
-            let beta = self.config.betas.beta(site.environment);
-            for (k, gw) in gateway_pos.iter().enumerate() {
-                let a = self
-                    .config
-                    .path_loss
-                    .attenuation(site.position.distance_to(gw), beta);
+            row.clear();
+            attenuation_row(
+                self.config,
+                &self.topology.devices()[j as usize],
+                &gateway_pos,
+                &mut row,
+            );
+            for (k, &a) in row.iter().enumerate() {
                 let mean_rx = p_mw * a;
                 ambient.power[grp * g + k] += mean_rx;
                 if mean_rx > 0.0 {
@@ -747,7 +726,7 @@ impl<'a> Shards<'a> {
     }
 
     /// The cell-local model over `cell`'s members and gateway subset,
-    /// with its attenuation rows taken from the tile and `ambient`
+    /// over a clone of the cell's attenuation tile, with `ambient`
     /// installed.
     fn cell_model(
         &self,
@@ -764,10 +743,7 @@ impl<'a> Shards<'a> {
             .map(|&k| self.topology.gateways()[k as usize])
             .collect();
         let local_topo = Topology::from_sites(devices, gateways, self.topology.radius_m());
-        let matrix = AttenuationMatrix::from_raw(
-            self.gateway_sets[cell].len(),
-            self.tiles.block(cell).to_vec(),
-        );
+        let matrix = self.tiles.tile(cell).clone();
         let model = NetworkModel::try_new_with_attenuation(self.config, &local_topo, matrix)?
             .with_ambient(ambient);
         Ok((local_topo, model))
@@ -874,7 +850,7 @@ impl<'a> Shards<'a> {
         let repairer = IncrementalAllocator::new();
         let mut reconfigured = 0usize;
         let mut candidates = 0u64;
-        let (mut best_min, mut best_mean, _) = summarize(ee);
+        let (mut best_min, mut best_mean) = (minimum(ee), mean(ee));
         for _ in 0..TAIL_ROUNDS {
             let mut order: Vec<usize> = (0..alloc.len()).collect();
             order.sort_by(|&a, &b| ee[a].total_cmp(&ee[b]).then(a.cmp(&b)));
@@ -910,12 +886,12 @@ impl<'a> Shards<'a> {
                 break;
             }
             let trial_ee = self.evaluate(&trial)?;
-            let (min, mean, _) = summarize(&trial_ee);
-            if (min, mean) > (best_min, best_mean) {
+            let (trial_min, trial_mean) = (minimum(&trial_ee), mean(&trial_ee));
+            if (trial_min, trial_mean) > (best_min, best_mean) {
                 alloc.copy_from_slice(&trial);
                 *ee = trial_ee;
-                best_min = min;
-                best_mean = mean;
+                best_min = trial_min;
+                best_mean = trial_mean;
                 reconfigured += moved;
             } else {
                 break;
@@ -963,19 +939,6 @@ fn cell_ordering(ordering: DeviceOrdering, cell: usize) -> DeviceOrdering {
         },
         other => other,
     }
-}
-
-fn summarize(ee: &[f64]) -> (f64, f64, f64) {
-    let n = ee.len() as f64;
-    let min = ee.iter().copied().fold(f64::INFINITY, f64::min);
-    let sum: f64 = ee.iter().sum();
-    let sum_sq: f64 = ee.iter().map(|x| x * x).sum();
-    let jain = if sum_sq > 0.0 {
-        sum * sum / (n * sum_sq)
-    } else {
-        0.0
-    };
-    (min, sum / n, jain)
 }
 
 #[cfg(test)]

@@ -45,12 +45,6 @@ use crate::pdr::{pdr_with, prr, PdrForm};
 pub struct NetworkModel {
     /// Linear attenuation, flat row-major `[device][gateway]`.
     attenuation: AttenuationMatrix,
-    /// Number of devices (kept explicitly: the attenuation matrix cannot
-    /// recover it for a zero-gateway deployment).
-    n_devices: usize,
-    /// Number of gateways (kept explicitly: the attenuation matrix is
-    /// empty for a zero-device deployment).
-    n_gateways: usize,
     /// Per-device path-loss exponent (for the Laplace variant).
     beta: Vec<f64>,
     /// Time-on-air per SF for the configured payload, seconds.
@@ -78,8 +72,6 @@ pub struct NetworkModel {
     n_channels: usize,
     /// Overall deployment density, devices per m².
     density_per_m2: f64,
-    /// Which analytical PDR form to evaluate (see [`PdrForm`]).
-    pdr_form: PdrForm,
     /// Frozen contributions of out-of-scope devices (see [`Ambient`]);
     /// `None` means a self-contained deployment.
     ambient: Option<Ambient>,
@@ -182,8 +174,8 @@ impl NetworkModel {
 
     /// [`NetworkModel::try_new`] over a caller-supplied attenuation
     /// matrix — the entry point for the cell-sharded path, where the
-    /// per-cell rows come from a `lora-spatial` tile built against the
-    /// cell's gateway subset rather than a fresh dense build. The matrix
+    /// matrix is a `lora-spatial` tile built against the cell's gateway
+    /// subset rather than a fresh dense build. The matrix
     /// must use the same kernel as [`lora_sim::attenuation_matrix`] for
     /// the model to stay bitwise consistent with the dense path.
     ///
@@ -191,16 +183,15 @@ impl NetworkModel {
     ///
     /// Returns [`ModelError::PayloadTooLarge`] as in
     /// [`NetworkModel::try_new`], and
-    /// [`ModelError::AllocationLengthMismatch`] when the matrix row count
-    /// does not match the topology's device count.
+    /// [`ModelError::AllocationLengthMismatch`] when the matrix shape
+    /// does not match the topology's devices and gateways.
     pub fn try_new_with_attenuation(
         config: &SimConfig,
         topology: &Topology,
         attenuation: AttenuationMatrix,
     ) -> Result<Self, ModelError> {
-        if topology.gateway_count() > 0
-            && (attenuation.device_count() != topology.device_count()
-                || attenuation.gateway_count() != topology.gateway_count())
+        if attenuation.device_count() != topology.device_count()
+            || attenuation.gateway_count() != topology.gateway_count()
         {
             return Err(ModelError::AllocationLengthMismatch {
                 devices: topology.device_count(),
@@ -237,8 +228,6 @@ impl NetworkModel {
         };
         Ok(NetworkModel {
             attenuation,
-            n_devices: topology.device_count(),
-            n_gateways: topology.gateway_count(),
             beta,
             toa_by_sf,
             sens_mw,
@@ -253,19 +242,8 @@ impl NetworkModel {
             energy: config.energy.clone(),
             n_channels: config.region.uplink_channel_count(),
             density_per_m2,
-            pdr_form: PdrForm::default(),
             ambient: None,
         })
-    }
-
-    /// Selects the analytical PDR form. The default,
-    /// [`PdrForm::JointExponential`], is the exact joint probability that
-    /// matches the packet simulator; [`PdrForm::PaperEq10`] evaluates the
-    /// paper's literal product form.
-    #[must_use]
-    pub fn with_pdr_form(mut self, form: PdrForm) -> Self {
-        self.pdr_form = form;
-        self
     }
 
     /// Installs frozen out-of-scope contributions (see [`Ambient`]).
@@ -284,12 +262,12 @@ impl NetworkModel {
         assert_eq!(ambient.load.len(), n_groups, "one load offset per group");
         assert_eq!(
             ambient.lambda.len(),
-            self.n_gateways,
+            self.gateway_count(),
             "one occupancy offset per gateway"
         );
         assert_eq!(
             ambient.power.len(),
-            n_groups * self.n_gateways,
+            n_groups * self.gateway_count(),
             "power offsets must be flat [group][gateway]"
         );
         assert!(
@@ -311,13 +289,15 @@ impl NetworkModel {
     }
 
     /// Number of modelled devices.
+    #[inline]
     pub fn device_count(&self) -> usize {
-        self.n_devices
+        self.attenuation.device_count()
     }
 
     /// Number of modelled gateways.
+    #[inline]
     pub fn gateway_count(&self) -> usize {
-        self.n_gateways
+        self.attenuation.gateway_count()
     }
 
     /// Number of uplink channels in the plan.
@@ -494,7 +474,7 @@ impl NetworkModel {
                     let mean_rx = cfg.tp.milliwatts() * self.attenuation.at(i, k);
                     let interference = state.interference_on(i, k);
                     let p = pdr_with(
-                        self.pdr_form,
+                        PdrForm::JointExponential,
                         mean_rx,
                         self.th_lin[cfg.sf.index()],
                         h,
@@ -564,7 +544,9 @@ impl NetworkModel {
     /// model, path loss, channel plan) is immutable under churn.
     pub fn refresh_intervals(&mut self, config: &SimConfig) {
         self.interval_s = config.report_interval_s;
-        self.intervals = (0..self.n_devices).map(|i| config.interval_of(i)).collect();
+        self.intervals = (0..self.device_count())
+            .map(|i| config.interval_of(i))
+            .collect();
     }
 
     /// Appends the rows of a batch of joining devices (a churn `Join`),
@@ -585,7 +567,6 @@ impl NetworkModel {
                 .iter()
                 .map(|site| config.betas.beta(site.environment)),
         );
-        self.n_devices += new_sites.len();
         self.refresh_intervals(config);
         self.refresh_density(radius_m);
     }
@@ -598,7 +579,7 @@ impl NetworkModel {
     ///
     /// Panics when the mask length disagrees with the device count.
     pub fn retire_rows(&mut self, config: &SimConfig, leaving: &[bool], radius_m: f64) {
-        assert_eq!(leaving.len(), self.n_devices, "leave mask shape");
+        assert_eq!(leaving.len(), self.device_count(), "leave mask shape");
         self.attenuation.retire_rows(leaving);
         let mut write = 0;
         for (i, &leaves) in leaving.iter().enumerate() {
@@ -609,7 +590,6 @@ impl NetworkModel {
             write += 1;
         }
         self.beta.truncate(write);
-        self.n_devices = write;
         self.refresh_intervals(config);
         self.refresh_density(radius_m);
     }
@@ -634,7 +614,7 @@ impl NetworkModel {
     fn refresh_density(&mut self, radius_m: f64) {
         let area = std::f64::consts::PI * radius_m.powi(2);
         self.density_per_m2 = if area > 0.0 {
-            self.n_devices as f64 / area
+            self.device_count() as f64 / area
         } else {
             0.0
         };
@@ -823,7 +803,8 @@ impl<'m> ModelState<'m> {
     }
 
     /// The capacity factor `θ_{i,k}`: Poisson tail at the others' load
-    /// (served from the cache maintained by [`ModelState::rebuild_theta`]).
+    /// (served from the per-gateway cache the state rebuilds after every
+    /// applied move).
     pub fn theta(&self, i: usize, k: usize) -> f64 {
         self.theta_cache[i * self.model.gateway_count() + k]
     }
@@ -846,7 +827,7 @@ impl<'m> ModelState<'m> {
             let mean_rx = p_mw * model.attenuation.at(i, k);
             let theta = self.theta(i, k);
             let p = pdr_with(
-                model.pdr_form,
+                PdrForm::JointExponential,
                 mean_rx,
                 model.th_lin[sfi],
                 h,

@@ -25,8 +25,9 @@ use serde::{Deserialize, Serialize};
 /// interference the two conditions coincide and the product *squares* the
 /// true probability. [`PdrForm::JointExponential`] computes the exact
 /// joint probability `P{g ≥ max(a, b)} = exp(−max(a, b))` instead, which
-/// matches the packet-level simulator at the coverage boundary; the
-/// paper's literal form remains available for fidelity comparisons.
+/// matches the packet-level simulator at the coverage boundary and is
+/// the form [`crate::NetworkModel`] always evaluates; the paper's literal
+/// form remains available for fidelity comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum PdrForm {
     /// The paper's literal Eq. (10): product of the two survival terms.

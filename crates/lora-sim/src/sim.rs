@@ -751,6 +751,23 @@ mod tests {
     }
 
     #[test]
+    fn gatewayless_deployment_runs_and_delivers_nothing() {
+        let config = quiet_config();
+        let topo = Topology::disc(5, 0, 1_000.0, &config, 3);
+        let report = Simulation::new(config, topo, sf7_alloc(5))
+            .expect("a deployment without gateways is simulable")
+            .run();
+        assert_eq!(report.devices.len(), 5);
+        assert!(report.gateways.is_empty());
+        assert_eq!(report.frames_delivered, 0);
+        for device in &report.devices {
+            assert!(device.attempts > 0);
+            assert_eq!(device.delivered, 0);
+            assert_eq!(device.ee_bits_per_mj, 0.0);
+        }
+    }
+
+    #[test]
     fn full_outage_blocks_all_receptions() {
         let mut c = quiet_config();
         c.outages.push(GatewayOutage {

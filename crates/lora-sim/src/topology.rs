@@ -181,19 +181,6 @@ impl Topology {
         self.gateways.len()
     }
 
-    /// Distance matrix `[device][gateway]` in metres.
-    pub fn distances(&self) -> Vec<Vec<f64>> {
-        self.devices
-            .iter()
-            .map(|d| {
-                self.gateways
-                    .iter()
-                    .map(|g| d.position.distance_to(g))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Distance from device `i` to its nearest gateway.
     pub fn nearest_gateway_distance(&self, device: usize) -> f64 {
         let p = self.devices[device].position;
@@ -201,6 +188,16 @@ impl Topology {
             .iter()
             .map(|g| p.distance_to(g))
             .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Linear attenuation from device `i` toward its nearest gateway. A
+    /// device's path-loss exponent is the same toward every gateway, so
+    /// this is the largest entry of its [`attenuation_row`].
+    pub fn nearest_gateway_attenuation(&self, config: &SimConfig, device: usize) -> f64 {
+        let beta = config.betas.beta(self.devices[device].environment);
+        config
+            .path_loss
+            .attenuation(self.nearest_gateway_distance(device), beta)
     }
 }
 
@@ -215,33 +212,48 @@ impl Topology {
 /// indexed load and lets the simulator *reuse* the matrix the model
 /// already built (see [`crate::Simulation::with_attenuation`]) instead
 /// of re-deriving every `powf` per repetition.
+///
+/// It is the only attenuation storage in the workspace: the cell-sharded
+/// allocator keeps one matrix per cell over the cell's devices and
+/// gateway subset (`lora_spatial::TiledAttenuation`), and the dense
+/// matrix is the one all-gateway tile. The row layout stays private to
+/// this crate; matrices are built only from sites, through
+/// [`AttenuationMatrix::from_sites`] or [`attenuation_matrix`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttenuationMatrix {
+    /// Number of device rows (kept explicitly: a zero-gateway matrix
+    /// holds no entries but still describes its devices).
+    n_devices: usize,
     n_gateways: usize,
     /// Row-major `[device][gateway]` linear attenuations.
     data: Vec<f64>,
 }
 
 impl AttenuationMatrix {
-    /// Wraps a row-major buffer. `data.len()` must be a multiple of
-    /// `n_gateways` (a zero-gateway matrix must be empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length is not a whole number of rows.
-    pub fn from_raw(n_gateways: usize, data: Vec<f64>) -> Self {
-        if n_gateways == 0 {
-            assert!(data.is_empty(), "zero-gateway matrix must be empty");
-        } else {
-            assert_eq!(data.len() % n_gateways, 0, "ragged attenuation matrix");
-        }
-        AttenuationMatrix { n_gateways, data }
+    /// Builds the matrix of `sites` against `gateways` serially, one
+    /// [`attenuation_row`] per site in iteration order. This is the
+    /// serial path of [`attenuation_matrix`] and the builder of every
+    /// cell tile of the sharded allocator: a tile over a subset of
+    /// devices and gateways is bitwise the dense matrix restricted to
+    /// them.
+    pub fn from_sites<'s, I>(config: &SimConfig, sites: I, gateways: &[Position]) -> Self
+    where
+        I: IntoIterator<Item = &'s DeviceSite>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut matrix = AttenuationMatrix {
+            n_devices: 0,
+            n_gateways: gateways.len(),
+            data: Vec::new(),
+        };
+        matrix.extend_rows(config, sites, gateways);
+        matrix
     }
 
     /// Number of device rows.
     #[inline]
     pub fn device_count(&self) -> usize {
-        self.data.len().checked_div(self.n_gateways).unwrap_or(0)
+        self.n_devices
     }
 
     /// Number of gateway columns.
@@ -267,13 +279,14 @@ impl AttenuationMatrix {
     /// devices). Each row is produced by the same kernel
     /// ([`attenuation_row`]) as a from-scratch build, so the extended
     /// matrix is bitwise equal to rebuilding over the full population.
-    pub fn extend_rows(
-        &mut self,
-        config: &SimConfig,
-        new_sites: &[DeviceSite],
-        gateways: &[Position],
-    ) {
+    pub fn extend_rows<'s, I>(&mut self, config: &SimConfig, new_sites: I, gateways: &[Position])
+    where
+        I: IntoIterator<Item = &'s DeviceSite>,
+        I::IntoIter: ExactSizeIterator,
+    {
         assert_eq!(gateways.len(), self.n_gateways, "gateway count changed");
+        let new_sites = new_sites.into_iter();
+        self.n_devices += new_sites.len();
         self.data.reserve(new_sites.len() * self.n_gateways);
         for site in new_sites {
             attenuation_row(config, site, gateways, &mut self.data);
@@ -301,6 +314,7 @@ impl AttenuationMatrix {
             }
             write += 1;
         }
+        self.n_devices = write;
         self.data.truncate(write * g);
     }
 
@@ -366,31 +380,30 @@ pub fn attenuation_matrix(
     } else {
         1
     };
-    let row_of = |i: usize, out: &mut Vec<f64>| {
-        attenuation_row(config, &topology.devices()[i], topology.gateways(), out);
-    };
-    let data = if threads <= 1 {
-        // Serial fast path: fill the flat buffer directly, one allocation.
-        let mut data = Vec::with_capacity(cells);
-        for i in 0..topology.device_count() {
-            row_of(i, &mut data);
-        }
-        data
-    } else {
-        // Parallel path: workers produce per-row buffers (each row is a
-        // pure function of its index), concatenated in device order.
-        let rows = lora_parallel::par_map_indexed(topology.device_count(), threads, |i| {
-            let mut row = Vec::with_capacity(n_gw);
-            row_of(i, &mut row);
-            row
-        });
-        let mut data = Vec::with_capacity(cells);
-        for row in rows {
-            data.extend_from_slice(&row);
-        }
-        data
-    };
-    AttenuationMatrix::from_raw(n_gw, data)
+    if threads <= 1 {
+        return AttenuationMatrix::from_sites(config, topology.devices(), topology.gateways());
+    }
+    // Parallel path: workers produce per-row buffers (each row is a pure
+    // function of its index), concatenated in device order.
+    let rows = lora_parallel::par_map_indexed(topology.device_count(), threads, |i| {
+        let mut row = Vec::with_capacity(n_gw);
+        attenuation_row(
+            config,
+            &topology.devices()[i],
+            topology.gateways(),
+            &mut row,
+        );
+        row
+    });
+    let mut data = Vec::with_capacity(cells);
+    for row in rows {
+        data.extend_from_slice(&row);
+    }
+    AttenuationMatrix {
+        n_devices: topology.device_count(),
+        n_gateways: n_gw,
+        data,
+    }
 }
 
 /// Matrix size (device × gateway cells) above which
@@ -676,15 +689,19 @@ mod tests {
     }
 
     #[test]
-    fn distance_matrix_shape() {
+    fn nearest_gateway_distance_is_the_row_minimum() {
         let config = SimConfig::default();
         let topo = Topology::disc(10, 4, 2_000.0, &config, 5);
-        let m = topo.distances();
-        assert_eq!(m.len(), 10);
-        assert!(m.iter().all(|row| row.len() == 4));
-        for (i, row) in m.iter().enumerate() {
-            let nearest = row.iter().copied().fold(f64::INFINITY, f64::min);
-            assert!((topo.nearest_gateway_distance(i) - nearest).abs() < 1e-12);
+        for (i, site) in topo.devices().iter().enumerate() {
+            let nearest = topo
+                .gateways()
+                .iter()
+                .map(|g| site.position.distance_to(g))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                topo.nearest_gateway_distance(i).to_bits(),
+                nearest.to_bits()
+            );
         }
     }
 }

@@ -13,19 +13,19 @@
 //! * [`horizon`] — the attenuation horizon (the distance past which a
 //!   max-power transmitter falls below a fraction of the noise floor)
 //!   and the occupancy-clamped cell-sizing rule derived from it;
-//! * [`tiled::TiledAttenuation`] — per-cell attenuation row blocks
-//!   against per-cell gateway subsets, built by the same kernel as the
-//!   dense matrix so entries are bitwise identical, with memory scaling
-//!   in occupancy instead of population²;
+//! * [`tiled::TiledAttenuation`] — one `lora_sim::AttenuationMatrix`
+//!   per cell, over the cell's devices and gateway subset, built by the
+//!   same row builder as the dense matrix so entries are bitwise
+//!   identical, with memory scaling in occupancy instead of population²;
 //! * [`farfield::FarFieldPricer`] — the paper's Eq. 17–20 PPP machinery
 //!   in truncated form, pricing everything beyond a cell's boundary ring
 //!   as an analytic annulus integral (mean interference, occupancy, and
 //!   the literal truncated Laplace transform).
 //!
 //! Consumers: `ef-lora` (`ef_lora::spatial`) shards the allocation over
-//! cells, `lora-model` accepts the priced far field as ambient offsets,
-//! and `lora-sim` exposes the tiled build as the escape hatch when the
-//! dense matrix exceeds its byte budget.
+//! cells and builds each cell's `lora-model` model over the cell's tile,
+//! with the priced far field as ambient offsets. The simulator and the
+//! serve daemon still use the one all-gateway tile (the dense matrix).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,37 +1,38 @@
-//! Blocked/streamed attenuation: per-cell row tiles instead of the dense
-//! `[device][gateway]` matrix.
+//! Blocked/streamed attenuation: one attenuation tile per cell instead of
+//! the dense `[device][gateway]` matrix.
 //!
 //! The dense [`lora_sim::AttenuationMatrix`] is O(devices × gateways) —
 //! fine at 10k devices, ruinous at 1M × many gateways. A
-//! [`TiledAttenuation`] materializes rows *per cell* and only against the
-//! gateways that matter for that cell (those within the attenuation
-//! horizon of it, as chosen by the caller), so memory scales with
-//! occupancy × local gateway count rather than population².
+//! [`TiledAttenuation`] holds one [`AttenuationMatrix`] *per cell*, over
+//! the cell's devices and only the gateways that matter for that cell
+//! (those within the attenuation horizon of it, as chosen by the caller),
+//! so memory scales with occupancy × local gateway count rather than
+//! population². The dense matrix is the one-cell, all-gateway tile.
 //!
-//! Every stored entry is produced by the same
-//! [`lora_sim::attenuation_row`] kernel as the dense build, so a tile
-//! entry is bitwise identical to the corresponding dense matrix entry.
+//! Every tile is built by the same [`AttenuationMatrix::from_sites`] row
+//! builder as the dense matrix, so a tile entry is bitwise identical to
+//! the corresponding dense matrix entry.
 
 use crate::grid::CellGrid;
 use lora_parallel::par_map_indexed;
-use lora_sim::{SimConfig, Topology};
+use lora_sim::{AttenuationMatrix, Position, SimConfig, Topology};
 
 /// Per-cell attenuation tiles over a [`CellGrid`].
 ///
-/// Tile `c` holds a row-major block `[member][local gateway]` for the
-/// devices of cell `c` (in [`CellGrid::members`] order) against the
-/// cell's gateway subset (global gateway ids, ascending).
+/// Tile `c` is the matrix of cell `c`'s devices (in
+/// [`CellGrid::members`] order) against the cell's gateway subset, in the
+/// order the subset was given to [`TiledAttenuation::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledAttenuation {
-    gateways: Vec<Vec<u32>>,
-    blocks: Vec<Vec<f64>>,
+    tiles: Vec<AttenuationMatrix>,
 }
 
 impl TiledAttenuation {
     /// Builds the tiles for `grid` over `topology`, one tile per cell,
     /// against `gateway_sets[cell]` (global gateway indices). Cells build
-    /// in parallel across `threads` workers; each tile is a pure function
-    /// of its cell, so the result is identical at any thread count.
+    /// in parallel across `threads` workers, each tile serially; a tile
+    /// is a pure function of its cell, so the result is identical at any
+    /// thread count.
     ///
     /// # Panics
     ///
@@ -52,76 +53,42 @@ impl TiledAttenuation {
         );
         assert_eq!(
             grid.device_count(),
-            topology.devices().len(),
+            topology.device_count(),
             "grid must index this topology"
         );
-        let n_gw = topology.gateways().len();
         let tiles = par_map_indexed(grid.cell_count(), threads.max(1), |cell| {
-            let gws = &gateway_sets[cell];
-            let members = grid.members(cell);
-            if gws.is_empty() || members.is_empty() {
-                return Vec::new();
-            }
-            let positions: Vec<_> = gws
+            let gateways: Vec<Position> = gateway_sets[cell]
                 .iter()
                 .map(|&g| {
-                    assert!((g as usize) < n_gw, "gateway id {g} out of range");
+                    assert!(
+                        (g as usize) < topology.gateway_count(),
+                        "gateway id {g} out of range"
+                    );
                     topology.gateways()[g as usize]
                 })
                 .collect();
-            let mut block = Vec::with_capacity(members.len() * gws.len());
-            for &dev in members {
-                lora_sim::attenuation_row(
-                    config,
-                    &topology.devices()[dev as usize],
-                    &positions,
-                    &mut block,
-                );
-            }
-            block
+            let sites = grid
+                .members(cell)
+                .iter()
+                .map(|&dev| &topology.devices()[dev as usize]);
+            AttenuationMatrix::from_sites(config, sites, &gateways)
         });
-        TiledAttenuation {
-            gateways: gateway_sets.to_vec(),
-            blocks: tiles,
-        }
+        TiledAttenuation { tiles }
     }
 
-    /// The gateway subset (global ids) tile `cell` was built against.
-    pub fn gateways(&self, cell: usize) -> &[u32] {
-        &self.gateways[cell]
-    }
-
-    /// The row-major `[member][local gateway]` block for `cell`, in
-    /// [`CellGrid::members`] order.
-    pub fn block(&self, cell: usize) -> &[f64] {
-        &self.blocks[cell]
-    }
-
-    /// The attenuation row of one member of `cell` (by position within
-    /// [`CellGrid::members`]) against the cell's gateway subset.
-    pub fn row(&self, cell: usize, member: usize) -> &[f64] {
-        let width = self.gateways[cell].len();
-        &self.blocks[cell][member * width..(member + 1) * width]
-    }
-
-    /// Looks up the attenuation of device `id` toward global gateway
-    /// `gateway`, or `None` when the gateway is outside the device's
-    /// cell tile (i.e. priced as far field).
-    pub fn at(&self, grid: &CellGrid, id: usize, gateway: u32) -> Option<f64> {
-        let cell = grid.cell_of(id);
-        let local = self.gateways[cell].binary_search(&gateway).ok()?;
-        let member = grid
-            .members(cell)
-            .binary_search(&(id as u32))
-            .expect("device belongs to its own cell");
-        Some(self.row(cell, member)[local])
+    /// The attenuation tile of `cell`: its members × its gateway subset.
+    pub fn tile(&self, cell: usize) -> &AttenuationMatrix {
+        &self.tiles[cell]
     }
 
     /// Approximate heap footprint of the tiles, bytes.
     pub fn approx_bytes(&self) -> usize {
-        let data: usize = self.blocks.iter().map(|b| b.len() * 8).sum();
-        let ids: usize = self.gateways.iter().map(|g| g.len() * 4).sum();
-        data + ids + (self.blocks.capacity() + self.gateways.capacity()) * 24
+        let data: usize = self
+            .tiles
+            .iter()
+            .map(|t| t.device_count() * t.gateway_count() * 8)
+            .sum();
+        data + self.tiles.capacity() * std::mem::size_of::<AttenuationMatrix>()
     }
 }
 
@@ -136,47 +103,68 @@ mod tests {
         (config, topology)
     }
 
+    /// Asserts every tile is the dense matrix restricted to the cell's
+    /// members × the cell's gateway subset, bit for bit.
+    fn assert_tiles_restrict_dense(
+        tiled: &TiledAttenuation,
+        dense: &AttenuationMatrix,
+        grid: &CellGrid,
+        sets: &[Vec<u32>],
+    ) {
+        for (cell, set) in sets.iter().enumerate() {
+            let tile = tiled.tile(cell);
+            let members = grid.members(cell);
+            assert_eq!(tile.device_count(), members.len(), "cell {cell} rows");
+            assert_eq!(tile.gateway_count(), set.len(), "cell {cell} columns");
+            for (m, &id) in members.iter().enumerate() {
+                for (local, &g) in set.iter().enumerate() {
+                    assert_eq!(
+                        tile.at(m, local).to_bits(),
+                        dense.at(id as usize, g as usize).to_bits(),
+                        "cell {cell} dev {id} gw {g}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn tiles_match_dense_entries_bitwise() {
         let (config, topology) = setup(200, 7);
         let grid = CellGrid::build(&topology, 1_500.0);
-        let all: Vec<u32> = (0..topology.gateways().len() as u32).collect();
-        let sets = vec![all; grid.cell_count()];
+        // Every cell a different subset, including the full set and a
+        // non-ascending one.
+        let choices: [&[u32]; 4] = [&[0, 1, 2], &[2], &[0, 2], &[2, 1]];
+        let sets: Vec<Vec<u32>> = (0..grid.cell_count())
+            .map(|c| choices[c % choices.len()].to_vec())
+            .collect();
         let tiled = TiledAttenuation::build(&config, &topology, &grid, &sets, 3);
         let dense = attenuation_matrix(&config, &topology);
-        for id in 0..topology.devices().len() {
-            for g in 0..topology.gateways().len() {
-                let t = tiled.at(&grid, id, g as u32).expect("full sets cover all");
-                assert_eq!(t.to_bits(), dense.at(id, g).to_bits(), "dev {id} gw {g}");
-            }
-        }
+        assert_tiles_restrict_dense(&tiled, &dense, &grid, &sets);
     }
 
     #[test]
     fn thread_count_does_not_change_tiles() {
         let (config, topology) = setup(150, 11);
         let grid = CellGrid::build(&topology, 1_000.0);
-        let all: Vec<u32> = (0..topology.gateways().len() as u32).collect();
+        let all: Vec<u32> = (0..topology.gateway_count() as u32).collect();
         let sets = vec![all; grid.cell_count()];
         let one = TiledAttenuation::build(&config, &topology, &grid, &sets, 1);
-        let four = TiledAttenuation::build(&config, &topology, &grid, &sets, 4);
-        assert_eq!(one, four);
+        let three = TiledAttenuation::build(&config, &topology, &grid, &sets, 3);
+        assert_eq!(one, three);
     }
 
     #[test]
-    fn subset_tiles_report_missing_gateways_as_far_field() {
+    fn one_gateway_subsets_hold_one_column() {
         let (config, topology) = setup(100, 3);
         let grid = CellGrid::build(&topology, 2_000.0);
-        // Only gateway 0 everywhere.
+        // Only gateway 0 everywhere: the others are far field.
         let sets = vec![vec![0u32]; grid.cell_count()];
         let tiled = TiledAttenuation::build(&config, &topology, &grid, &sets, 2);
         let dense = attenuation_matrix(&config, &topology);
-        for id in 0..topology.devices().len() {
-            assert_eq!(
-                tiled.at(&grid, id, 0).unwrap().to_bits(),
-                dense.at(id, 0).to_bits()
-            );
-            assert!(tiled.at(&grid, id, 1).is_none());
+        assert_tiles_restrict_dense(&tiled, &dense, &grid, &sets);
+        for cell in 0..grid.cell_count() {
+            assert_eq!(tiled.tile(cell).gateway_count(), 1);
         }
     }
 
@@ -187,8 +175,10 @@ mod tests {
         let sets = vec![vec![0u32]; grid.cell_count()];
         let tiled = TiledAttenuation::build(&config, &topology, &grid, &sets, 2);
         // 400 devices × 1 gateway ≈ 3.2 kB of f64s, far below dense×all.
-        let data: usize = (0..grid.cell_count()).map(|c| tiled.block(c).len()).sum();
-        assert_eq!(data, 400);
+        let entries: usize = (0..grid.cell_count())
+            .map(|c| tiled.tile(c).device_count() * tiled.tile(c).gateway_count())
+            .sum();
+        assert_eq!(entries, 400);
         assert!(tiled.approx_bytes() < 1 << 20);
     }
 }
