@@ -81,6 +81,40 @@ pub fn parse_duration(raw: &str) -> Result<f64, String> {
     }
 }
 
+/// The environment variable setting the experiment worker count.
+const THREADS_ENV: &str = "EF_LORA_THREADS";
+
+/// Parses an `EF_LORA_THREADS`-style value: `0` means "use the host's
+/// available parallelism"; malformed input is rejected.
+///
+/// # Errors
+///
+/// Returns a human-readable message when `raw` is not a non-negative
+/// integer.
+pub fn parse_threads(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(0) => Ok(lora_parallel::available_threads()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "{THREADS_ENV}={raw:?} is not a non-negative integer"
+        )),
+    }
+}
+
+/// Reads [`THREADS_ENV`], defaulting to the host's available parallelism
+/// when unset and warning loudly (then falling back to the default) when
+/// the value is malformed.
+fn threads_from_env() -> usize {
+    match std::env::var(THREADS_ENV) {
+        Ok(raw) => parse_threads(&raw).unwrap_or_else(|msg| {
+            let fallback = lora_parallel::available_threads();
+            eprintln!("warning: {msg}; using {fallback} thread(s)");
+            fallback
+        }),
+        Err(_) => lora_parallel::available_threads(),
+    }
+}
+
 impl Scale {
     /// Reads `EF_LORA_SCALE` (`smoke`/`small`/`paper`), defaulting to
     /// `small`; `EF_LORA_REPS`, `EF_LORA_DURATION` and `EF_LORA_THREADS`
@@ -109,7 +143,7 @@ impl Scale {
                 }
             }
         }
-        scale.threads = lora_parallel::threads_from_env();
+        scale.threads = threads_from_env();
         scale
     }
 
@@ -469,6 +503,16 @@ mod tests {
     }
 
     #[test]
+    fn parse_threads_accepts_and_rejects() {
+        assert_eq!(parse_threads("3"), Ok(3));
+        assert_eq!(parse_threads(" 5 "), Ok(5));
+        assert_eq!(parse_threads("0"), Ok(lora_parallel::available_threads()));
+        assert!(parse_threads("four").is_err());
+        assert!(parse_threads("-2").is_err());
+        assert!(parse_threads("").is_err());
+    }
+
+    #[test]
     fn with_threads_zero_means_available_parallelism() {
         let scale = Scale::smoke().with_threads(0);
         assert_eq!(scale.threads, lora_parallel::available_threads());
@@ -555,7 +599,15 @@ mod tests {
         let other = Topology::disc(10, 1, 5_000.0, &config, 11);
         let wrong = lora_sim::attenuation_matrix(&config, &other);
         let alloc = vec![lora_phy::TxConfig::default(); 24];
-        assert!(Simulation::with_attenuation(config, topology, alloc, wrong).is_err());
+        assert_eq!(
+            Simulation::with_attenuation(config, topology, alloc, wrong).unwrap_err(),
+            lora_sim::SimError::AttenuationShapeMismatch {
+                devices: 24,
+                gateways: 2,
+                rows: 10,
+                columns: 1
+            }
+        );
     }
 
     #[test]

@@ -5,14 +5,14 @@ use lora_model::NetworkModel;
 use lora_sim::Topology;
 
 use crate::args::Options;
-use crate::commands::{config_from, strategy_by_name};
+use crate::commands::config_from;
 use crate::io::{read_json, write_json};
 
 /// Allocates the topology in `--topology` with `--strategy` (default
 /// `ef-lora`), printing a summary and optionally writing `--output`.
 pub fn run(opts: &Options) -> Result<(), String> {
     let topology: Topology = read_json(opts.required("topology")?)?;
-    let strategy = strategy_by_name(opts.optional("strategy").unwrap_or("ef-lora"))?;
+    let strategy = ef_lora::strategy::by_name(opts.optional("strategy").unwrap_or("ef-lora"))?;
     let config = config_from(opts)?;
 
     let model = NetworkModel::new(&config, &topology);

@@ -9,26 +9,9 @@ pub mod scenario;
 pub mod simulate;
 pub mod validate;
 
-use ef_lora::{AdrLora, EfLora, EfLoraFixedTp, LegacyLora, RsLora, SpatialEfLora, Strategy};
 use lora_sim::{SimConfig, Traffic};
 
 use crate::args::Options;
-
-/// Builds the strategy named on the command line.
-pub fn strategy_by_name(name: &str) -> Result<Box<dyn Strategy>, String> {
-    match name {
-        "ef-lora" => Ok(Box::new(EfLora::default())),
-        "legacy" => Ok(Box::new(LegacyLora::default())),
-        "rs-lora" => Ok(Box::new(RsLora::default())),
-        "ef-lora-14dbm" => Ok(Box::new(EfLoraFixedTp::default())),
-        "adr" => Ok(Box::new(AdrLora::default())),
-        "ef-lora-spatial" => Ok(Box::new(SpatialEfLora::default().with_threads(0))),
-        other => Err(format!(
-            "unknown strategy `{other}` (expected ef-lora, legacy, rs-lora, ef-lora-14dbm, adr \
-             or ef-lora-spatial)"
-        )),
-    }
-}
 
 /// Builds the simulation configuration from common flags: `--duration`,
 /// `--seed`, `--interval` and `--duty` (which switches to the
@@ -51,21 +34,6 @@ pub fn config_from(opts: &Options) -> Result<SimConfig, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategies_resolve() {
-        for name in [
-            "ef-lora",
-            "legacy",
-            "rs-lora",
-            "ef-lora-14dbm",
-            "adr",
-            "ef-lora-spatial",
-        ] {
-            assert!(strategy_by_name(name).is_ok(), "{name}");
-        }
-        assert!(strategy_by_name("explora").is_err());
-    }
 
     #[test]
     fn config_flags_apply() {

@@ -18,7 +18,6 @@ use lora_scenario::catalog;
 use lora_scenario::{compile, run_scenario, CompiledScenario, RunOptions, ScenarioRunReport};
 
 use crate::args::Options;
-use crate::commands::strategy_by_name;
 use crate::io::{write_json, write_text};
 
 /// Dispatches a `scenario <action>` invocation.
@@ -174,7 +173,7 @@ fn print_report(report: &ScenarioRunReport) {
 /// `scenario run` — compile and play the scenario under one strategy.
 fn run_one(opts: &Options) -> Result<(), String> {
     let compiled = compiled_from(opts)?;
-    let strategy = strategy_by_name(opts.optional("strategy").unwrap_or("ef-lora"))?;
+    let strategy = ef_lora::strategy::by_name(opts.optional("strategy").unwrap_or("ef-lora"))?;
     let options = run_options(opts)?;
     let report = run_scenario(&compiled, strategy.as_ref(), &options).map_err(|e| e.to_string())?;
     print_report(&report);
@@ -196,7 +195,7 @@ fn sweep(opts: &Options) -> Result<(), String> {
     let options = run_options(opts)?;
     let mut reports = Vec::new();
     for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let strategy: Box<dyn Strategy> = strategy_by_name(name)?;
+        let strategy: Box<dyn Strategy> = ef_lora::strategy::by_name(name)?;
         let report =
             run_scenario(&compiled, strategy.as_ref(), &options).map_err(|e| e.to_string())?;
         reports.push(report);

@@ -78,8 +78,7 @@ fn print_usage() {
          \n\
          subcommands:\n\
          \x20 generate  --devices N --gateways G [--radius M] [--seed S] [--p-los F] -o FILE\n\
-         \x20 allocate  --topology FILE [--strategy ef-lora|legacy|rs-lora|ef-lora-14dbm|adr|\n\
-         \x20           ef-lora-spatial] [-o FILE]\n\
+         \x20 allocate  --topology FILE [--strategy S] [-o FILE]\n\
          \x20 simulate  --topology FILE --allocation FILE [--duration S] [--seed N] [--duty F]\n\
          \x20 compare   --topology FILE [--duration S] [--duty F]\n\
          \x20 grow      --topology FILE --allocation FILE [--repair true|false] [-o FILE]\n\
@@ -93,7 +92,9 @@ fn print_usage() {
          \x20 serve     (--spec FILE | --name CATALOG | --restore SNAPSHOT) [--scale F]\n\
          \x20           [--seed N] [--strategy S] [--port P] [--snapshot PATH]\n\
          \n\
-         all files are JSON; see the repository README for the schema"
+         strategies: {}\n\
+         all files are JSON; see the repository README for the schema",
+        ef_lora::strategy::NAMES.join(", ")
     );
 }
 

@@ -1,10 +1,12 @@
-//! Golden snapshot for the scenario engine.
+//! Golden snapshots for the scenario engine.
 //!
 //! Pins the full compilation of one non-trivial catalog scenario —
 //! spec, sampled topology, simulator config, class assignment and churn
 //! timeline — so any drift in the spatial samplers, the class
 //! apportionment, the k-means placement or the serde layout shows up as
-//! a reviewed golden diff rather than a silent behaviour change.
+//! a reviewed golden diff rather than a silent behaviour change. The
+//! catalog files under `scenarios/` are pinned to their builders the
+//! same way.
 //!
 //! Refresh with `EF_LORA_UPDATE_GOLDEN=1 cargo test -p conformance`.
 
@@ -49,4 +51,40 @@ fn compilation_is_deterministic_across_processes_inputs() {
     let a = serde_json::to_string(&compile(&spec).unwrap()).unwrap();
     let b = serde_json::to_string(&compile(&spec).unwrap()).unwrap();
     assert_eq!(a, b);
+}
+
+#[test]
+fn catalog_files_match_the_builders() {
+    // The JSON files under scenarios/ are what the CLI and CI consume;
+    // they must stay in sync with these constructors. Refresh with
+    // EF_LORA_UPDATE_GOLDEN=1.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+        .join("scenarios");
+    let update = golden::update_mode();
+    for spec in catalog::all() {
+        let path = dir.join(format!("{}.json", spec.name));
+        let expected = serde_json::to_string_pretty(&spec).expect("catalog spec must serialize");
+        if update {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, format!("{expected}\n")).unwrap();
+            continue;
+        }
+        let actual = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "{} missing ({e}); run with EF_LORA_UPDATE_GOLDEN=1 to create it",
+                path.display()
+            )
+        });
+        assert_eq!(
+            actual.trim_end(),
+            expected,
+            "{} drifted from the catalog builder; refresh with EF_LORA_UPDATE_GOLDEN=1",
+            path.display()
+        );
+        // And the file round-trips to the same spec.
+        let parsed: lora_scenario::ScenarioSpec = serde_json::from_str(&actual).unwrap();
+        assert_eq!(parsed, spec);
+    }
 }

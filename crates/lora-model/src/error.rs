@@ -32,8 +32,7 @@ pub enum ModelError {
         max: usize,
     },
     /// The dense attenuation matrix for this deployment would exceed the
-    /// byte budget (`EF_LORA_ATTENUATION_BUDGET`, default 2 GiB) — a
-    /// typed refusal instead of an abort-on-OOM. Deployments past this
+    /// 2 GiB byte budget — a typed refusal instead of an abort-on-OOM. Deployments past this
     /// point go through the cell-sharded path (`lora-spatial` tiles plus
     /// `ef_lora::spatial`).
     TopologyTooLarge {
@@ -45,6 +44,19 @@ pub enum ModelError {
         required_bytes: u64,
         /// The budget that refused it.
         budget_bytes: u64,
+    },
+    /// A supplied attenuation matrix was built for another deployment
+    /// shape: its rows and columns must be the topology's devices and
+    /// gateways.
+    AttenuationShapeMismatch {
+        /// Devices in the topology.
+        devices: usize,
+        /// Gateways in the topology.
+        gateways: usize,
+        /// Device rows in the matrix.
+        rows: usize,
+        /// Gateway columns in the matrix.
+        columns: usize,
     },
 }
 
@@ -80,6 +92,16 @@ impl fmt::Display for ModelError {
                 "dense attenuation matrix for {devices} devices x {gateways} gateways needs \
                  {required_bytes} bytes, over the {budget_bytes}-byte budget; use the \
                  cell-sharded path for deployments this large"
+            ),
+            ModelError::AttenuationShapeMismatch {
+                devices,
+                gateways,
+                rows,
+                columns,
+            } => write!(
+                f,
+                "attenuation matrix is {rows} x {columns} but the topology has {devices} \
+                 devices x {gateways} gateways"
             ),
         }
     }

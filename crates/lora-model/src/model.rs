@@ -118,6 +118,26 @@ impl Ambient {
     }
 }
 
+/// Largest dense attenuation matrix [`NetworkModel::try_new`] builds:
+/// 2 GiB, enough for any deployment the dense pipeline should hold in
+/// one allocation.
+const ATTENUATION_BUDGET_BYTES: u64 = 2 << 30;
+
+/// Refuses a topology whose dense `[device][gateway]` matrix of `f64`s
+/// would exceed `budget_bytes`.
+fn check_attenuation_budget(topology: &Topology, budget_bytes: u64) -> Result<(), ModelError> {
+    let required_bytes = topology.device_count() as u64 * topology.gateway_count() as u64 * 8;
+    if required_bytes > budget_bytes {
+        return Err(ModelError::TopologyTooLarge {
+            devices: topology.device_count(),
+            gateways: topology.gateway_count(),
+            required_bytes,
+            budget_bytes,
+        });
+    }
+    Ok(())
+}
+
 impl NetworkModel {
     /// Builds the model for a deployment under a simulation configuration,
     /// guaranteeing model and simulator share every physical parameter.
@@ -137,38 +157,12 @@ impl NetworkModel {
     ///
     /// Returns [`ModelError::PayloadTooLarge`] when no time-on-air exists
     /// for `config.phy_payload_len()`, and [`ModelError::TopologyTooLarge`]
-    /// when the dense attenuation matrix would exceed the byte budget
-    /// (`EF_LORA_ATTENUATION_BUDGET`, default 2 GiB).
+    /// when the dense attenuation matrix would exceed 2 GiB.
     pub fn try_new(config: &SimConfig, topology: &Topology) -> Result<Self, ModelError> {
-        Self::try_new_with_budget(config, topology, lora_sim::attenuation_budget_from_env())
-    }
-
-    /// [`NetworkModel::try_new`] with an explicit byte budget for the
-    /// dense attenuation matrix instead of the environment default.
-    pub fn try_new_with_budget(
-        config: &SimConfig,
-        topology: &Topology,
-        budget_bytes: u64,
-    ) -> Result<Self, ModelError> {
-        // Shared with the simulator — and parallelised there for large
-        // deployments (see `lora_sim::attenuation_matrix`). The budget
-        // turns what would be an abort-on-OOM into a typed refusal that
-        // points at the cell-sharded path.
-        let attenuation = lora_sim::try_attenuation_matrix(config, topology, budget_bytes)
-            .map_err(|e| match e {
-                lora_sim::SimError::TopologyTooLarge {
-                    devices,
-                    gateways,
-                    required_bytes,
-                    budget_bytes,
-                } => ModelError::TopologyTooLarge {
-                    devices,
-                    gateways,
-                    required_bytes,
-                    budget_bytes,
-                },
-                other => panic!("unexpected attenuation build failure: {other}"),
-            })?;
+        // The budget turns what would be an abort-on-OOM into a typed
+        // refusal that points at the cell-sharded path.
+        check_attenuation_budget(topology, ATTENUATION_BUDGET_BYTES)?;
+        let attenuation = lora_sim::attenuation_matrix(config, topology);
         Self::try_new_with_attenuation(config, topology, attenuation)
     }
 
@@ -183,7 +177,7 @@ impl NetworkModel {
     ///
     /// Returns [`ModelError::PayloadTooLarge`] as in
     /// [`NetworkModel::try_new`], and
-    /// [`ModelError::AllocationLengthMismatch`] when the matrix shape
+    /// [`ModelError::AttenuationShapeMismatch`] when the matrix shape
     /// does not match the topology's devices and gateways.
     pub fn try_new_with_attenuation(
         config: &SimConfig,
@@ -193,9 +187,11 @@ impl NetworkModel {
         if attenuation.device_count() != topology.device_count()
             || attenuation.gateway_count() != topology.gateway_count()
         {
-            return Err(ModelError::AllocationLengthMismatch {
+            return Err(ModelError::AttenuationShapeMismatch {
                 devices: topology.device_count(),
-                allocation: attenuation.device_count(),
+                gateways: topology.gateway_count(),
+                rows: attenuation.device_count(),
+                columns: attenuation.gateway_count(),
             });
         }
         let bw = Bandwidth::Bw125;
@@ -1257,7 +1253,7 @@ mod tests {
     fn oversize_topology_is_an_error_not_an_abort() {
         let topo = line_topology(8, 50.0, 2);
         let config = SimConfig::default();
-        match NetworkModel::try_new_with_budget(&config, &topo, 64) {
+        match check_attenuation_budget(&topo, 64) {
             Err(ModelError::TopologyTooLarge {
                 devices,
                 gateways,
@@ -1270,7 +1266,24 @@ mod tests {
             }
             other => panic!("expected TopologyTooLarge, got {other:?}"),
         }
-        assert!(NetworkModel::try_new_with_budget(&config, &topo, 128).is_ok());
+        assert!(check_attenuation_budget(&topo, 128).is_ok());
+        assert!(NetworkModel::try_new(&config, &topo).is_ok());
+    }
+
+    #[test]
+    fn attenuation_for_another_gateway_count_is_a_shape_mismatch() {
+        let config = SimConfig::default();
+        let topo = line_topology(4, 50.0, 2);
+        let wrong = lora_sim::attenuation_matrix(&config, &line_topology(4, 50.0, 3));
+        assert_eq!(
+            NetworkModel::try_new_with_attenuation(&config, &topo, wrong).unwrap_err(),
+            ModelError::AttenuationShapeMismatch {
+                devices: 4,
+                gateways: 2,
+                rows: 4,
+                columns: 3
+            }
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic scoped-thread fan-out for the EF-LoRa workspace.
 //!
 //! Every parallel site in this repository — replication fan-out in the
-//! bench harness, the EF-LoRa candidate scan, attenuation-matrix
-//! construction — goes through [`par_map_indexed`], which has one
-//! defining property: **the result is a pure function of the input,
-//! independent of the worker count**. Index `i` of the output always
+//! bench harness and the scenario runner, the EF-LoRa candidate scan,
+//! the sharded allocator's per-cell work — goes through
+//! [`par_map_indexed`], which has one defining property: **the result is
+//! a pure function of the input, independent of the worker count**. Index `i` of the output always
 //! holds `f(i)`, workers own contiguous index chunks, and chunk results
 //! are concatenated in chunk order, so `threads = 1` and `threads = 64`
 //! produce byte-identical vectors. Determinism therefore reduces to `f`
@@ -21,45 +21,11 @@
 
 use std::num::NonZeroUsize;
 
-/// The environment variable controlling workspace-wide parallelism.
-pub const THREADS_ENV: &str = "EF_LORA_THREADS";
-
 /// The host's available parallelism, with a floor of 1.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Parses an `EF_LORA_THREADS`-style value: `0` means "use the host's
-/// available parallelism"; malformed input is rejected.
-///
-/// # Errors
-///
-/// Returns a human-readable message when `raw` is not a non-negative
-/// integer.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Ok(available_threads()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "{THREADS_ENV}={raw:?} is not a non-negative integer"
-        )),
-    }
-}
-
-/// Reads [`THREADS_ENV`], defaulting to the host's available parallelism
-/// when unset and warning loudly (then falling back to the default) when
-/// the value is malformed.
-pub fn threads_from_env() -> usize {
-    match std::env::var(THREADS_ENV) {
-        Ok(raw) => parse_threads(&raw).unwrap_or_else(|msg| {
-            let fallback = available_threads();
-            eprintln!("warning: {msg}; using {fallback} thread(s)");
-            fallback
-        }),
-        Err(_) => available_threads(),
-    }
 }
 
 /// Splits `len` items into at most `chunks` contiguous ranges of
@@ -121,21 +87,6 @@ where
     out
 }
 
-/// Folds the outputs of [`par_map_indexed`] in strict index order:
-/// `fold(init, [f(0), f(1), …])`. A convenience for accumulator-style
-/// call sites (e.g. summing per-repetition metrics) that must reduce in
-/// a fixed order to stay bitwise deterministic under float addition.
-pub fn par_map_reduce<T, A, F, R>(len: usize, threads: usize, f: F, init: A, reduce: R) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    R: FnMut(A, T) -> A,
-{
-    par_map_indexed(len, threads, f)
-        .into_iter()
-        .fold(init, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,34 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn reduce_order_is_index_order() {
-        let trace = par_map_reduce(
-            10,
-            4,
-            |i| i,
-            Vec::new(),
-            |mut acc: Vec<usize>, i| {
-                acc.push(i);
-                acc
-            },
-        );
-        assert_eq!(trace, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_and_tiny_inputs_work() {
         assert_eq!(par_map_indexed(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indexed(1, 8, |i| i * 2), vec![0]);
-    }
-
-    #[test]
-    fn parse_threads_accepts_and_rejects() {
-        assert_eq!(parse_threads("3"), Ok(3));
-        assert_eq!(parse_threads(" 5 "), Ok(5));
-        assert_eq!(parse_threads("0"), Ok(available_threads()));
-        assert!(parse_threads("four").is_err());
-        assert!(parse_threads("-2").is_err());
-        assert!(parse_threads("").is_err());
     }
 
     #[test]

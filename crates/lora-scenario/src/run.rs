@@ -33,9 +33,9 @@ pub struct RunOptions {
     /// Independent simulator repetitions per epoch (channel randomness;
     /// the topology is fixed by the scenario seed).
     pub reps: usize,
-    /// Worker threads for the repetition fan-out; `0` reads
-    /// `EF_LORA_THREADS` (the repo-wide convention). The report is
-    /// byte-identical for every value.
+    /// Worker threads for the repetition fan-out; `0` means the host's
+    /// available parallelism. The report is byte-identical for every
+    /// value.
     pub threads: usize,
     /// Simulated seconds per epoch; `None` keeps the compiled
     /// `config.duration_s`.
@@ -195,7 +195,7 @@ pub fn run_scenario(
     let gateways = compiled.topology.gateways().to_vec();
     let radius_m = compiled.topology.radius_m();
     let threads = if options.threads == 0 {
-        lora_parallel::threads_from_env()
+        lora_parallel::available_threads()
     } else {
         options.threads
     };

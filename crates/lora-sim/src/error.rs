@@ -43,19 +43,18 @@ pub enum SimError {
         /// Human-readable reason naming the offending parameter.
         reason: String,
     },
-    /// The dense attenuation matrix for this deployment would exceed the
-    /// caller's byte budget — a typed refusal instead of an abort-on-OOM.
-    /// The tiled per-cell build in `lora-spatial` is the escape hatch for
-    /// populations past this point.
-    TopologyTooLarge {
+    /// A supplied attenuation matrix was built for another deployment
+    /// shape: its rows and columns must be the topology's devices and
+    /// gateways.
+    AttenuationShapeMismatch {
         /// Number of devices in the topology.
         devices: usize,
         /// Number of gateways in the topology.
         gateways: usize,
-        /// Bytes the dense matrix would need.
-        required_bytes: u64,
-        /// The budget that refused it.
-        budget_bytes: u64,
+        /// Device rows in the matrix.
+        rows: usize,
+        /// Gateway columns in the matrix.
+        columns: usize,
     },
 }
 
@@ -80,16 +79,15 @@ impl fmt::Display for SimError {
             SimError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             SimError::InvalidFault { reason } => write!(f, "invalid fault injection: {reason}"),
             SimError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
-            SimError::TopologyTooLarge {
+            SimError::AttenuationShapeMismatch {
                 devices,
                 gateways,
-                required_bytes,
-                budget_bytes,
+                rows,
+                columns,
             } => write!(
                 f,
-                "dense attenuation matrix for {devices} devices x {gateways} gateways needs \
-                 {required_bytes} bytes, over the {budget_bytes}-byte budget; use the tiled \
-                 per-cell build (lora-spatial) for deployments this large"
+                "attenuation matrix is {rows} x {columns} but the topology has {devices} \
+                 devices x {gateways} gateways"
             ),
         }
     }

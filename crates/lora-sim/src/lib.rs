@@ -65,6 +65,5 @@ pub use faults::{BackhaulLink, FaultConfig, GatewayChurn, JamBurst, JammerProces
 pub use report::{DeviceStats, GatewayStats, SimReport};
 pub use sim::Simulation;
 pub use topology::{
-    attenuation_budget_from_env, attenuation_matrix, attenuation_row, try_attenuation_matrix,
-    AttenuationMatrix, DeviceSite, Position, Topology, DEFAULT_ATTENUATION_BUDGET_BYTES,
+    attenuation_matrix, attenuation_row, AttenuationMatrix, DeviceSite, Position, Topology,
 };

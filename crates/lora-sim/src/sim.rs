@@ -89,8 +89,8 @@ impl Simulation {
     /// # Errors
     ///
     /// Everything [`Simulation::new`] rejects, plus
-    /// [`SimError::InvalidConfig`] when the matrix shape does not match
-    /// the deployment.
+    /// [`SimError::AttenuationShapeMismatch`] when the matrix shape does
+    /// not match the deployment.
     pub fn with_attenuation(
         config: SimConfig,
         topology: Topology,
@@ -100,8 +100,11 @@ impl Simulation {
         if attenuation.device_count() != topology.device_count()
             || attenuation.gateway_count() != topology.gateway_count()
         {
-            return Err(SimError::InvalidConfig {
-                reason: "attenuation matrix shape does not match the deployment",
+            return Err(SimError::AttenuationShapeMismatch {
+                devices: topology.device_count(),
+                gateways: topology.gateway_count(),
+                rows: attenuation.device_count(),
+                columns: attenuation.gateway_count(),
             });
         }
         if alloc.len() != topology.device_count() {
@@ -717,6 +720,28 @@ mod tests {
             SimError::AllocationLengthMismatch {
                 devices: 3,
                 allocation: 2
+            }
+        );
+    }
+
+    #[test]
+    fn attenuation_shape_is_validated() {
+        let config = quiet_config();
+        let topo = near_topology(3);
+        let two_gateways = Topology::from_sites(
+            topo.devices().to_vec(),
+            vec![Position::new(0.0, 0.0), Position::new(500.0, 0.0)],
+            1_000.0,
+        );
+        let wrong = crate::topology::attenuation_matrix(&config, &two_gateways);
+        let err = Simulation::with_attenuation(config, topo, sf7_alloc(3), wrong).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::AttenuationShapeMismatch {
+                devices: 3,
+                gateways: 1,
+                rows: 3,
+                columns: 2
             }
         );
     }

@@ -231,11 +231,10 @@ pub struct AttenuationMatrix {
 
 impl AttenuationMatrix {
     /// Builds the matrix of `sites` against `gateways` serially, one
-    /// [`attenuation_row`] per site in iteration order. This is the
-    /// serial path of [`attenuation_matrix`] and the builder of every
-    /// cell tile of the sharded allocator: a tile over a subset of
-    /// devices and gateways is bitwise the dense matrix restricted to
-    /// them.
+    /// [`attenuation_row`] per site in iteration order. It builds both the
+    /// dense [`attenuation_matrix`] and every cell tile of the sharded
+    /// allocator: a tile over a subset of devices and gateways is bitwise
+    /// the dense matrix restricted to them.
     pub fn from_sites<'s, I>(config: &SimConfig, sites: I, gateways: &[Position]) -> Self
     where
         I: IntoIterator<Item = &'s DeviceSite>,
@@ -363,91 +362,14 @@ pub fn attenuation_row(
 
 /// Builds the linear path-loss attenuation matrix `[device][gateway]`
 /// for a deployment — the O(devices × gateways) kernel shared by the
-/// simulator and the analytical model.
-///
-/// Large matrices (≥ [`ATTENUATION_PARALLEL_THRESHOLD`] cells) are built
-/// with one scoped worker per contiguous device chunk, controlled by
-/// `EF_LORA_THREADS`. Each row is a pure function of its device index, so
-/// the result is byte-identical for every worker count.
+/// simulator and the analytical model. This is the one-tile case of
+/// [`AttenuationMatrix::from_sites`]: every device against every gateway,
+/// built serially.
 pub fn attenuation_matrix(
     config: &crate::config::SimConfig,
     topology: &Topology,
 ) -> AttenuationMatrix {
-    let n_gw = topology.gateway_count();
-    let cells = topology.device_count() * n_gw;
-    let threads = if cells >= ATTENUATION_PARALLEL_THRESHOLD {
-        lora_parallel::threads_from_env()
-    } else {
-        1
-    };
-    if threads <= 1 {
-        return AttenuationMatrix::from_sites(config, topology.devices(), topology.gateways());
-    }
-    // Parallel path: workers produce per-row buffers (each row is a pure
-    // function of its index), concatenated in device order.
-    let rows = lora_parallel::par_map_indexed(topology.device_count(), threads, |i| {
-        let mut row = Vec::with_capacity(n_gw);
-        attenuation_row(
-            config,
-            &topology.devices()[i],
-            topology.gateways(),
-            &mut row,
-        );
-        row
-    });
-    let mut data = Vec::with_capacity(cells);
-    for row in rows {
-        data.extend_from_slice(&row);
-    }
-    AttenuationMatrix {
-        n_devices: topology.device_count(),
-        n_gateways: n_gw,
-        data,
-    }
-}
-
-/// Matrix size (device × gateway cells) above which
-/// [`attenuation_matrix`] fans out across threads. Below this the scoped
-/// spawn overhead outweighs the arithmetic.
-pub const ATTENUATION_PARALLEL_THRESHOLD: usize = 16_384;
-
-/// Default byte budget for [`try_attenuation_matrix`]: 2 GiB, enough for
-/// any deployment the dense analytical pipeline should reasonably hold
-/// in one allocation. Overridable via the `EF_LORA_ATTENUATION_BUDGET`
-/// environment variable (bytes).
-pub const DEFAULT_ATTENUATION_BUDGET_BYTES: u64 = 2 << 30;
-
-/// The byte budget for dense attenuation matrices:
-/// `EF_LORA_ATTENUATION_BUDGET` when set to a parseable byte count,
-/// otherwise [`DEFAULT_ATTENUATION_BUDGET_BYTES`].
-pub fn attenuation_budget_from_env() -> u64 {
-    std::env::var("EF_LORA_ATTENUATION_BUDGET")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_ATTENUATION_BUDGET_BYTES)
-}
-
-/// Fallible front of [`attenuation_matrix`]: refuses with
-/// [`SimError::TopologyTooLarge`] when the dense `[device][gateway]`
-/// matrix would exceed `budget_bytes`, instead of aborting on OOM deep
-/// inside the allocator. Below the budget the result is the
-/// byte-identical dense build.
-pub fn try_attenuation_matrix(
-    config: &crate::config::SimConfig,
-    topology: &Topology,
-    budget_bytes: u64,
-) -> Result<AttenuationMatrix, crate::error::SimError> {
-    let required = topology.device_count() as u64 * topology.gateway_count() as u64 * 8;
-    if required > budget_bytes {
-        return Err(crate::error::SimError::TopologyTooLarge {
-            devices: topology.device_count(),
-            gateways: topology.gateway_count(),
-            required_bytes: required,
-            budget_bytes,
-        });
-    }
-    Ok(attenuation_matrix(config, topology))
+    AttenuationMatrix::from_sites(config, topology.devices(), topology.gateways())
 }
 
 /// Places `n` gateways on the cross positions of a mesh over a disc of
@@ -493,29 +415,6 @@ mod tests {
         for d in topo.devices() {
             assert!(d.position.distance_to(&origin) <= 5_000.0 + 1e-9);
         }
-    }
-
-    #[test]
-    fn attenuation_budget_refuses_oversize_matrices() {
-        let config = SimConfig::default();
-        let topo = Topology::disc(100, 2, 2_000.0, &config, 4);
-        // 100 × 2 × 8 = 1600 bytes: one under the need refuses, at the
-        // need succeeds with the byte-identical dense build.
-        match try_attenuation_matrix(&config, &topo, 1_599) {
-            Err(crate::error::SimError::TopologyTooLarge {
-                devices,
-                gateways,
-                required_bytes,
-                budget_bytes,
-            }) => {
-                assert_eq!((devices, gateways), (100, 2));
-                assert_eq!(required_bytes, 1_600);
-                assert_eq!(budget_bytes, 1_599);
-            }
-            other => panic!("expected TopologyTooLarge, got {other:?}"),
-        }
-        let fallible = try_attenuation_matrix(&config, &topo, 1_600).unwrap();
-        assert_eq!(fallible, attenuation_matrix(&config, &topo));
     }
 
     #[test]

@@ -142,7 +142,7 @@ pub enum JournalRecord {
     /// and scenario spec reproduce the initial allocation exactly.
     Genesis {
         /// CLI name of the allocation strategy
-        /// (see [`crate::app::strategy_by_name`]).
+        /// (see [`ef_lora::strategy::by_name`]).
         strategy: String,
         /// The scenario the daemon was loaded from.
         spec: ScenarioSpec,
@@ -639,7 +639,7 @@ pub fn recover(
         Some(state) => state,
         None => match scanned.records.first() {
             Some(JournalRecord::Genesis { strategy, spec }) => {
-                let strategy = crate::app::strategy_by_name(strategy).map_err(corrupt)?;
+                let strategy = ef_lora::strategy::by_name(strategy).map_err(corrupt)?;
                 ServeState::new(spec.clone(), strategy.as_ref())
                     .map_err(|e| corrupt(format!("genesis record does not allocate: {e}")))?
             }

@@ -8,7 +8,6 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ef_lora::EfLora;
-use ef_lora_serve::app::strategy_by_name;
 use ef_lora_serve::journal::{self, JournalRecord};
 use ef_lora_serve::protocol::{encode, Request};
 use ef_lora_serve::reference::ReferenceState;
@@ -126,6 +125,36 @@ fn kill_then_restore_resumes_with_byte_identical_queries() {
     assert_eq!(resumed.events, 10);
     let status = child.wait().unwrap();
     assert!(status.success(), "clean shutdown must exit zero");
+}
+
+#[test]
+fn daemon_boots_and_replays_genesis_with_every_registered_strategy() {
+    let dir = tmp_dir("strategies");
+    for name in ef_lora::strategy::NAMES {
+        let journal = dir.join(format!("{name}.wal"));
+        let args = [
+            "--name",
+            "churn-heavy",
+            "--scale",
+            "0.05",
+            "--strategy",
+            name,
+            "--journal",
+            journal.to_str().unwrap(),
+        ];
+        // The first boot allocates and journals the genesis record; the
+        // second rebuilds the state by replaying it.
+        let mut metrics = Vec::new();
+        for _ in 0..2 {
+            let (mut child, addr) = spawn_daemon(&args);
+            let mut client = Client::connect(&addr);
+            metrics.push(client.send(&Request::Metrics));
+            assert_eq!(client.send(&Request::Shutdown), r#""ShuttingDown""#);
+            assert!(child.wait().unwrap().success(), "{name}");
+        }
+        assert!(metrics[0].contains("Metrics"), "{name}: {}", metrics[0]);
+        assert_eq!(metrics[0], metrics[1], "{name}");
+    }
 }
 
 #[test]
@@ -264,7 +293,7 @@ fn sigkill_mid_burst_recovers_exactly_the_durable_journal_prefix() {
     let mut records = scanned.records.iter();
     let mut oracle = match records.next() {
         Some(JournalRecord::Genesis { strategy, spec }) => {
-            let strategy = strategy_by_name(strategy).unwrap();
+            let strategy = ef_lora::strategy::by_name(strategy).unwrap();
             ReferenceState::new(spec.clone(), strategy.as_ref()).unwrap()
         }
         other => panic!("journal must start with the genesis base, got {other:?}"),
